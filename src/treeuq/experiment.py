@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, kfold_split, load_csv, make_benchmark_mixture, sample_mixture
 from .ensemble import EnsembleConfig, best_single_tree, ensemble_posterior_matrix, train_ensemble
-from .envelope import EnvelopeSummary, cross_fold_summary, envelope_rates
+from .envelope import EnvelopeSummary, cross_fold_summary, envelope_rates, p_min
 from .mcmc import (
     McmcConfig,
     bayes_predictive_matrix,
@@ -348,6 +348,8 @@ def run_experiment(config: ExperimentConfig, mcmc_trace_path=None) -> Experiment
     times live only in runtime_seconds and never reach emitted reports.
     """
     dataset_name, train, test = _load_experiment_data(config)
+    if config.p0 <= p_min(train.num_classes):
+        raise ExperimentError(f"p0 must exceed 1/{train.num_classes}, got {config.p0}")
     runtime: dict[str, float] = {}
     randomized = bayesian = None
     if config.technique in ("randomized", "both"):

@@ -23,6 +23,18 @@ node), change_variable (redraw feature and threshold at a uniform internal
 node), change_rule (redraw threshold only). The returned log proposal ratio
 makes birth/death a reversible pair: it combines the leaf-vs-prunable-node
 counts with the split-choice probability.
+
+Cache invariant: a node's ``cache`` slot holds terms derived from the node's
+own fields and one Dataset, and the Dataset is stored with them. An internal
+node keeps ``(data, menu size, log(m * menu size))`` with ``None`` for the
+log term when its threshold is off its menu; a leaf keeps ``(data, alpha,
+Dirichlet-multinomial log marginal of its counts)``. Nodes are immutable and
+keep their ``indices``, so a term computed once stays exact, and path copies
+of an unchanged node carry it. A cache stored with another Dataset (or, for a
+leaf, another alpha) is recomputed, never reused. The prior and the
+likelihood of a tree are the cached terms summed in preorder with the same
+float operations a from-scratch evaluation uses, so they are bit-identical to
+it; a move therefore only pays for the nodes it creates.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import Dataset
-from .tree import DecisionTree, TreeNode, iter_nodes, leaf_posterior_matrix, tree_size
+from .tree import DecisionTree, TreeNode, leaf_posterior_matrix, tree_size
 
 __all__ = [
     "ChainSample",
@@ -121,42 +133,35 @@ class Proposal:
     feasible: bool
 
 
+def _leaf_log_marginals(counts, alpha: float) -> np.ndarray:
+    """Per-row terms of dirichlet_multinomial_log_marginal.
+
+    A row's term does not depend on the other rows, so terms computed in
+    different batches are bit-identical to those of one batch.
+    """
+    counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
+    num_classes = counts.shape[1]
+    totals = counts.sum(axis=1)
+    return (
+        gammaln(num_classes * alpha)
+        - gammaln(totals + num_classes * alpha)
+        + (gammaln(counts + alpha) - gammaln(alpha)).sum(axis=1)
+    )
+
+
 def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
     """Log marginal likelihood of class-count rows under Dirichlet(alpha) rates.
 
     Each row contributes log[Gamma(C*a)/Gamma(n+C*a) * prod_c Gamma(n_c+a)/Gamma(a)];
     an all-zero row contributes 0.
     """
-    counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-    num_classes = counts.shape[1]
-    totals = counts.sum(axis=1)
-    per_leaf = (
-        gammaln(num_classes * alpha)
-        - gammaln(totals + num_classes * alpha)
-        + (gammaln(counts + alpha) - gammaln(alpha)).sum(axis=1)
-    )
-    return float(per_leaf.sum())
+    return float(_leaf_log_marginals(counts, alpha).sum())
 
 
 def refresh_counts(tree: DecisionTree, data: Dataset) -> DecisionTree:
     """Re-route the training data through the tree, rebuilding counts/indices."""
-    root = _reroute(tree.root, data, np.arange(data.n))
+    root = _rebuild_subtree(tree.root, data, np.arange(data.n))
     return DecisionTree(root=root, num_classes=data.num_classes, min_leaf=tree.min_leaf)
-
-
-def _reroute(node: TreeNode, data: Dataset, indices: np.ndarray) -> TreeNode:
-    counts = np.bincount(data.labels[indices], minlength=data.num_classes)
-    if node.is_leaf:
-        return TreeNode(counts, indices=indices)
-    goes_left = data.features[indices, node.feature] <= node.threshold
-    return TreeNode(
-        counts,
-        feature=node.feature,
-        threshold=node.threshold,
-        left=_reroute(node.left, data, indices[goes_left]),
-        right=_reroute(node.right, data, indices[~goes_left]),
-        indices=indices,
-    )
 
 
 def _ensure_cached(tree: DecisionTree, data: Dataset) -> DecisionTree:
@@ -174,11 +179,60 @@ def _log_catalan(j: int) -> float:
     return math.lgamma(2 * j + 1) - 2.0 * math.lgamma(j + 1) - math.log(j + 1)
 
 
+def _walk(root: TreeNode) -> tuple[list[TreeNode], list[TreeNode], list[TreeNode]]:
+    """Leaves, internal nodes and prunable nodes of a tree, each in preorder."""
+    leaves: list[TreeNode] = []
+    internals: list[TreeNode] = []
+    prunable: list[TreeNode] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.left is None:
+            leaves.append(node)
+            continue
+        internals.append(node)
+        if node.left.left is None and node.right.left is None:
+            prunable.append(node)
+        stack.append(node.right)
+        stack.append(node.left)
+    return leaves, internals, prunable
+
+
+def _rule_terms(node: TreeNode, data: Dataset) -> tuple[int, float | None]:
+    """Cached (menu size, log(m * menu size)) of an internal node.
+
+    The log term is None when the threshold is not on the node's own menu.
+    """
+    cache = node.cache
+    if cache is None or cache[0] is not data:
+        values = np.unique(data.features[node.indices, node.feature])
+        menu_size = values.size - 1
+        term = None
+        if menu_size >= 1:
+            pos = int(np.searchsorted(values, node.threshold))
+            if pos < menu_size and values[pos] == node.threshold:
+                term = math.log(data.m * menu_size)
+        cache = node.cache = (data, menu_size, term)
+    return cache[1], cache[2]
+
+
+def _leaf_terms(leaves: list[TreeNode], data: Dataset, alpha: float) -> list[float]:
+    """Cached Dirichlet-multinomial term of each leaf; missing ones in one batch."""
+    stale = [
+        leaf for leaf in leaves
+        if leaf.cache is None or leaf.cache[0] is not data or leaf.cache[1] != alpha
+    ]
+    if stale:
+        terms = _leaf_log_marginals([leaf.counts for leaf in stale], alpha)
+        for leaf, term in zip(stale, terms.tolist()):
+            leaf.cache = (data, alpha, term)
+    return [leaf.cache[2] for leaf in leaves]
+
+
 def log_marginal_likelihood(tree: DecisionTree, data: Dataset, alpha: float = 1.0) -> float:
     """Dirichlet-multinomial log marginal likelihood of the tree's partition."""
-    cached = _ensure_cached(tree, data)
-    counts = np.array([leaf.counts for leaf in cached.leaves()])
-    return dirichlet_multinomial_log_marginal(counts, alpha)
+    leaves, _, _ = _walk(_ensure_cached(tree, data).root)
+    return float(np.array(_leaf_terms(leaves, data, alpha)).sum())
 
 
 def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
@@ -191,25 +245,16 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
 
 
 def _log_prior_cached(tree: DecisionTree, k_max: int, data: Dataset) -> float:
-    num_leaves = 0
-    log_rules = 0.0
-    for node in iter_nodes(tree.root):
-        if node.is_leaf:
-            num_leaves += 1
-            if node.indices.size == 0:
-                return -math.inf
-            continue
-        values = np.unique(data.features[node.indices, node.feature])
-        menu_size = values.size - 1
-        if menu_size < 1:
-            return -math.inf
-        pos = int(np.searchsorted(values, node.threshold))
-        if pos >= menu_size or values[pos] != node.threshold:
-            return -math.inf
-        log_rules -= math.log(data.m * menu_size)
-    if num_leaves > k_max:
+    leaves, internals, _ = _walk(tree.root)
+    if len(leaves) > k_max or any(leaf.indices.size == 0 for leaf in leaves):
         return -math.inf
-    return -math.log(k_max) - _log_catalan(num_leaves - 1) + log_rules
+    log_rules = 0.0
+    for node in internals:
+        _, term = _rule_terms(node, data)
+        if term is None:
+            return -math.inf
+        log_rules -= term
+    return -math.log(k_max) - _log_catalan(len(leaves) - 1) + log_rules
 
 
 def _copy_replace(node: TreeNode, target: TreeNode, replacement: TreeNode) -> TreeNode | None:
@@ -224,19 +269,35 @@ def _copy_replace(node: TreeNode, target: TreeNode, replacement: TreeNode) -> Tr
         return None
     new_left = _copy_replace(node.left, target, replacement)
     if new_left is not None:
-        return TreeNode(
+        copy = TreeNode(
             node.counts, node.feature, node.threshold, new_left, node.right, node.indices
         )
-    new_right = _copy_replace(node.right, target, replacement)
-    if new_right is not None:
-        return TreeNode(
+    else:
+        new_right = _copy_replace(node.right, target, replacement)
+        if new_right is None:
+            return None
+        copy = TreeNode(
             node.counts, node.feature, node.threshold, node.left, new_right, node.indices
         )
-    return None
+    copy.cache = node.cache
+    return copy
 
 
-def _rebuild_subtree(node: TreeNode, data: Dataset, indices: np.ndarray) -> TreeNode:
-    """Same structure and rules as node, data re-routed from indices down."""
+def _rebuild_subtree(
+    node: TreeNode, data: Dataset, indices: np.ndarray, keep_unchanged: bool = False
+) -> TreeNode:
+    """Same structure and rules as node, data re-routed from indices down.
+
+    With keep_unchanged, a subtree whose node already holds exactly these
+    rows is kept as it is, cached terms included.
+    """
+    if (
+        keep_unchanged
+        and node.indices is not None
+        and node.indices.size == indices.size
+        and np.array_equal(node.indices, indices)
+    ):
+        return node
     counts = np.bincount(data.labels[indices], minlength=data.num_classes)
     if node.is_leaf:
         return TreeNode(counts, indices=indices)
@@ -245,18 +306,37 @@ def _rebuild_subtree(node: TreeNode, data: Dataset, indices: np.ndarray) -> Tree
         counts,
         feature=node.feature,
         threshold=node.threshold,
-        left=_rebuild_subtree(node.left, data, indices[goes_left]),
-        right=_rebuild_subtree(node.right, data, indices[~goes_left]),
+        left=_rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged),
+        right=_rebuild_subtree(node.right, data, indices[~goes_left], keep_unchanged),
         indices=indices,
     )
 
 
-def _prunable_nodes(root: TreeNode) -> list[TreeNode]:
-    return [
-        node
-        for node in iter_nodes(root)
-        if not node.is_leaf and node.left.is_leaf and node.right.is_leaf
-    ]
+def _grow_leaf(leaves: list[TreeNode], data: Dataset, rng) -> tuple[int, TreeNode | None, int]:
+    """Birth draw: split a uniform leaf on a uniform feature at a uniform menu value.
+
+    Returns (position of the leaf in ``leaves``, grown node, menu size); the
+    grown node is None when the drawn feature has no menu at that leaf.
+    """
+    position = int(rng.integers(len(leaves)))
+    leaf = leaves[position]
+    feature = int(rng.integers(data.m))
+    menu = _split_menu(data, leaf.indices, feature)
+    if menu.size == 0:
+        return position, None, 0
+    threshold = float(menu[rng.integers(menu.size)])
+    goes_left = data.features[leaf.indices, feature] <= threshold
+    left_idx, right_idx = leaf.indices[goes_left], leaf.indices[~goes_left]
+    grown = TreeNode(
+        leaf.counts,
+        feature=feature,
+        threshold=threshold,
+        left=TreeNode(np.bincount(data.labels[left_idx], minlength=data.num_classes), indices=left_idx),
+        right=TreeNode(np.bincount(data.labels[right_idx], minlength=data.num_classes), indices=right_idx),
+        indices=leaf.indices,
+    )
+    grown.cache = (data, menu.size, math.log(data.m * menu.size))
+    return position, grown, menu.size
 
 
 def _log(x: float) -> float:
@@ -287,71 +367,59 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
 
     root = tree.root
     num_features = data.m
+    leaves, internals, prunable = _walk(root)
 
     if kind == "birth":
-        leaves = [node for node in iter_nodes(root) if node.is_leaf]
-        leaf = leaves[rng.integers(len(leaves))]
-        feature = int(rng.integers(num_features))
-        menu = _split_menu(data, leaf.indices, feature)
-        if menu.size == 0:
+        position, grown, menu_size = _grow_leaf(leaves, data, rng)
+        if grown is None:
             return Proposal(kind, None, -math.inf, False)
-        threshold = float(menu[rng.integers(menu.size)])
-        goes_left = data.features[leaf.indices, feature] <= threshold
-        left_idx, right_idx = leaf.indices[goes_left], leaf.indices[~goes_left]
-        grown = TreeNode(
-            leaf.counts,
-            feature=feature,
-            threshold=threshold,
-            left=TreeNode(np.bincount(data.labels[left_idx], minlength=data.num_classes), indices=left_idx),
-            right=TreeNode(np.bincount(data.labels[right_idx], minlength=data.num_classes), indices=right_idx),
-            indices=leaf.indices,
-        )
+        leaf = leaves[position]
         new_root = _copy_replace(root, leaf, grown)
-        prunable_after = len(_prunable_nodes(new_root))
+        # the grown node becomes prunable; the leaf's parent stops being so
+        parent_was_prunable = any(p.left is leaf or p.right is leaf for p in prunable)
+        prunable_after = len(prunable) + 1 - parent_was_prunable
         log_ratio = (
             _log(p_death)
             - _log(p_birth)
-            + math.log(len(leaves) * num_features * menu.size)
+            + math.log(len(leaves) * num_features * menu_size)
             - math.log(prunable_after)
         )
         proposed = DecisionTree(new_root, tree.num_classes, tree.min_leaf)
         return Proposal(kind, proposed, log_ratio, True)
 
     if kind == "death":
-        prunable = _prunable_nodes(root)
         if not prunable:
             return Proposal(kind, None, -math.inf, False)
         node = prunable[rng.integers(len(prunable))]
-        menu = _split_menu(data, node.indices, node.feature)
-        if menu.size == 0:
+        menu_size, _ = _rule_terms(node, data)
+        if menu_size < 1:
             return Proposal(kind, None, -math.inf, False)
         collapsed = TreeNode(node.counts, indices=node.indices)
         new_root = _copy_replace(root, node, collapsed)
-        leaves_after = sum(1 for n in iter_nodes(new_root) if n.is_leaf)
+        leaves_after = len(leaves) - 1
         log_ratio = (
             _log(p_birth)
             - _log(p_death)
             + math.log(len(prunable))
-            - math.log(leaves_after * num_features * menu.size)
+            - math.log(leaves_after * num_features * menu_size)
         )
         proposed = DecisionTree(new_root, tree.num_classes, tree.min_leaf)
         return Proposal(kind, proposed, log_ratio, True)
 
-    internals = [node for node in iter_nodes(root) if not node.is_leaf]
     if not internals:
         return Proposal(kind, None, -math.inf, False)
     node = internals[rng.integers(len(internals))]
 
     if kind == "change_variable":
         new_feature = int(rng.integers(num_features))
-        new_menu = _split_menu(data, node.indices, new_feature)
-        if new_menu.size == 0:
+        menu = _split_menu(data, node.indices, new_feature)
+        if menu.size == 0:
             return Proposal(kind, None, -math.inf, False)
-        old_menu = _split_menu(data, node.indices, node.feature)
-        if old_menu.size == 0:
+        old_menu_size, _ = _rule_terms(node, data)
+        if old_menu_size < 1:
             return Proposal(kind, None, -math.inf, False)
-        new_threshold = float(new_menu[rng.integers(new_menu.size)])
-        log_ratio = math.log(new_menu.size) - math.log(old_menu.size)
+        new_threshold = float(menu[rng.integers(menu.size)])
+        log_ratio = math.log(menu.size) - math.log(old_menu_size)
     else:  # change_rule
         new_feature = node.feature
         menu = _split_menu(data, node.indices, new_feature)
@@ -360,11 +428,17 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         new_threshold = float(menu[rng.integers(menu.size)])
         log_ratio = 0.0
 
-    template = TreeNode(
-        node.counts, feature=new_feature, threshold=new_threshold,
-        left=node.left, right=node.right, indices=node.indices,
+    indices = node.indices
+    goes_left = data.features[indices, new_feature] <= new_threshold
+    rebuilt = TreeNode(
+        node.counts,
+        feature=new_feature,
+        threshold=new_threshold,
+        left=_rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged=True),
+        right=_rebuild_subtree(node.right, data, indices[~goes_left], keep_unchanged=True),
+        indices=indices,
     )
-    rebuilt = _rebuild_subtree(template, data, node.indices)
+    rebuilt.cache = (data, menu.size, math.log(data.m * menu.size))
     new_root = _copy_replace(root, node, rebuilt)
     proposed = DecisionTree(new_root, tree.num_classes, tree.min_leaf)
     return Proposal(kind, proposed, log_ratio, True)
@@ -409,29 +483,16 @@ def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
     rng = np.random.default_rng(seed)
     target_leaves = int(rng.integers(1, k_max + 1))
     root = TreeNode(data.class_counts(), indices=np.arange(data.n))
-    tree = DecisionTree(root, data.num_classes)
+    leaves = [root]  # in preorder: a grown leaf's children take its place
     attempts = 0
-    while tree_size(tree) < target_leaves and attempts < 20 * k_max:
+    while len(leaves) < target_leaves and attempts < 20 * k_max:
         attempts += 1
-        leaves = [node for node in iter_nodes(tree.root) if node.is_leaf]
-        leaf = leaves[rng.integers(len(leaves))]
-        feature = int(rng.integers(data.m))
-        menu = _split_menu(data, leaf.indices, feature)
-        if menu.size == 0:
+        position, grown, _ = _grow_leaf(leaves, data, rng)
+        if grown is None:
             continue
-        threshold = float(menu[rng.integers(menu.size)])
-        goes_left = data.features[leaf.indices, feature] <= threshold
-        left_idx, right_idx = leaf.indices[goes_left], leaf.indices[~goes_left]
-        grown = TreeNode(
-            leaf.counts,
-            feature=feature,
-            threshold=threshold,
-            left=TreeNode(np.bincount(data.labels[left_idx], minlength=data.num_classes), indices=left_idx),
-            right=TreeNode(np.bincount(data.labels[right_idx], minlength=data.num_classes), indices=right_idx),
-            indices=leaf.indices,
-        )
-        tree = DecisionTree(_copy_replace(tree.root, leaf, grown), data.num_classes)
-    return tree
+        root = _copy_replace(root, leaves[position], grown)
+        leaves[position : position + 1] = [grown.left, grown.right]
+    return DecisionTree(root, data.num_classes)
 
 
 def run_chain(

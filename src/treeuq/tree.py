@@ -46,10 +46,12 @@ class TreeNode:
 
     ``counts`` holds the per-class training counts of the points reaching the
     node; ``indices`` optionally caches which training rows those are (used by
-    the samplers, not needed for prediction).
+    the samplers, not needed for prediction). ``cache`` is a slot the sampler
+    fills with values it derives from the node's own fields; nodes are never
+    mutated after construction, so those values stay exact.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts", "indices")
+    __slots__ = ("feature", "threshold", "left", "right", "counts", "indices", "cache")
 
     def __init__(self, counts, feature=None, threshold=None, left=None, right=None, indices=None):
         self.counts = np.asarray(counts, dtype=np.int64)
@@ -58,6 +60,7 @@ class TreeNode:
         self.left = left
         self.right = right
         self.indices = indices
+        self.cache = None
 
     @property
     def is_leaf(self) -> bool:

@@ -21,6 +21,7 @@ from treeuq import (
     sample_mixture,
     write_csv,
 )
+from treeuq import experiment
 from treeuq.envelope import EnvelopeSummary
 from treeuq.experiment import BayesianResult, ExperimentReport, RandomizedResult
 
@@ -126,6 +127,16 @@ class TestRunExperiment:
         config = tiny_config(dataset="csv", csv_path=str(path), train_count=40, test_count=40)
         with pytest.raises(ExperimentError, match="exceeds"):
             run_experiment(config)
+
+    @pytest.mark.parametrize("p0", [0.5, 0.3])
+    def test_p0_at_or_below_chance_fails_before_training(self, monkeypatch, p0):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("training started before p0 was checked")
+
+        monkeypatch.setattr(experiment, "train_ensemble", must_not_run)
+        monkeypatch.setattr(experiment, "run_with_restarts", must_not_run)
+        with pytest.raises(ExperimentError, match=r"p0 must exceed 1/2"):
+            run_experiment(tiny_config(p0=p0))
 
     def test_mcmc_trace_plumbing(self, tmp_path):
         trace = tmp_path / "bayes.trace"
