@@ -25,7 +25,6 @@ from .ensemble import (
     EnsembleConfig,
     RandomizedEnsemble,
     best_single_tree,
-    ensemble_posterior,
     ensemble_posterior_matrix,
     train_ensemble,
 )
@@ -54,12 +53,10 @@ from .mcmc import (
     McmcConfig,
     PosteriorEnsemble,
     Proposal,
-    bayes_predictive,
     bayes_predictive_matrix,
     ensemble_mean_size,
     log_marginal_likelihood,
     log_prior,
-    mh_step,
     propose_move,
     refresh_counts,
     run_chain,
@@ -80,7 +77,6 @@ from .tree import (
     serialize_tree,
     top_k_splits,
     tree_size,
-    tree_total_nodes,
 )
 
 __version__ = "0.1.0"

@@ -4,11 +4,13 @@ Each tree picks every split uniformly among its top-20 information-gain
 candidates, so independently seeded trees disagree near class boundaries.
 The ensemble posterior either averages per-tree posteriors or counts
 per-tree argmax votes; the vote form is what the uncertainty envelope
-consumes.
+consumes. The same scorer turns the Bayesian sampler's retained trees into
+its posterior, so both techniques are judged by one function.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +23,6 @@ __all__ = [
     "RandomizedEnsemble",
     "best_single_tree",
     "default_min_leaf",
-    "ensemble_posterior",
     "ensemble_posterior_matrix",
     "train_ensemble",
 ]
@@ -51,10 +52,6 @@ class RandomizedEnsemble:
     trees: tuple[DecisionTree, ...]
     config: EnsembleConfig
 
-    @property
-    def num_classes(self) -> int:
-        return self.trees[0].num_classes
-
 
 def default_min_leaf(train_size: int) -> int:
     return MIN_LEAF_LARGE if train_size > LARGE_TRAIN_THRESHOLD else MIN_LEAF_SMALL
@@ -83,37 +80,36 @@ def train_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) ->
 
 
 def ensemble_posterior_matrix(
-    ens: RandomizedEnsemble, features: np.ndarray, mode: str = "vote"
+    trees: Sequence[DecisionTree], features: np.ndarray, mode: str = "vote", alpha: float = 1.0
 ) -> np.ndarray:
     """Ensemble class posteriors for every row of a feature matrix, (n, C).
 
     vote: fraction of trees whose argmax lands on each class (per-tree argmax
     ties break toward the lower class index). average: mean of the per-tree
-    smoothed posteriors.
+    leaf posteriors (n_c + alpha)/(n + C*alpha). A tree object that occurs
+    several times (a rejected MH step keeps its state) is evaluated once and
+    weighted by its number of occurrences.
     """
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    num_classes = ens.num_classes
-    out = np.zeros((n, num_classes))
-    if mode == "average":
-        for tree in ens.trees:
-            out += leaf_posterior_matrix(tree, features)
-        out /= len(ens.trees)
-    elif mode == "vote":
-        rows = np.arange(n)
-        for tree in ens.trees:
-            winners = np.argmax(leaf_posterior_matrix(tree, features), axis=1)
-            out[rows, winners] += 1.0
-        out /= len(ens.trees)
-    else:
+    if len(trees) < 1:
+        raise ValueError("ensemble is empty")
+    if mode not in ("average", "vote"):
         raise ValueError(f"unknown mode {mode!r}; expected 'vote' or 'average'")
+    features = np.asarray(features, dtype=np.float64)
+    out = np.zeros((features.shape[0], trees[0].num_classes))
+
+    distinct: dict[int, list] = {}
+    for tree in trees:
+        distinct.setdefault(id(tree), [tree, 0])[1] += 1
+
+    rows = np.arange(features.shape[0])
+    for tree, weight in distinct.values():
+        posterior = leaf_posterior_matrix(tree, features, alpha=alpha)
+        if mode == "average":
+            out += weight * posterior
+        else:
+            out[rows, np.argmax(posterior, axis=1)] += weight
+    out /= len(trees)
     return out
-
-
-def ensemble_posterior(ens: RandomizedEnsemble, x, mode: str = "vote") -> np.ndarray:
-    """Ensemble class posterior at a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    return ensemble_posterior_matrix(ens, x[None, :], mode=mode)[0]
 
 
 def best_single_tree(ens: RandomizedEnsemble, validation: Dataset) -> tuple[int, float]:

@@ -291,10 +291,11 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
         ens = train_ensemble(train.subset(folds.train_indices(f)), ens_config)
         validation = train.subset(folds.test_indices(f))
 
-        posteriors = ensemble_posterior_matrix(ens, test.features, mode=config.envelope_mode)
+        posteriors = ensemble_posterior_matrix(ens.trees, test.features, mode=config.envelope_mode)
         best_idx, best_val_acc = best_single_tree(ens, validation)
         best_tree_posteriors = leaf_posterior_matrix(ens.trees[best_idx], test.features)
-        sizes.extend(tree_size(t) for t in ens.trees)
+        fold_sizes = [tree_size(t) for t in ens.trees]
+        sizes.extend(fold_sizes)
         fold_results.append(
             FoldResult(
                 fold_index=f,
@@ -303,7 +304,7 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
                 best_tree_validation_accuracy=best_val_acc,
                 best_tree_test_accuracy=_accuracy(best_tree_posteriors, test.labels),
                 envelope=envelope_rates(posteriors, test.labels, config.p0),
-                mean_tree_size=float(np.mean([tree_size(t) for t in ens.trees])),
+                mean_tree_size=float(np.mean(fold_sizes)),
             )
         )
 

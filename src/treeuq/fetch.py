@@ -13,7 +13,7 @@ import hashlib
 import io
 import os
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 __all__ = ["DatasetSource", "FetchError", "KNOWN_DATASETS", "cache_dir", "fetch_dataset"]
@@ -159,16 +159,7 @@ def fetch_dataset(name: str, url: str | None = None, checksum: str | None = None
         raise FetchError(f"unknown dataset id {name!r}; known ids: {known}") from None
 
     if url is not None:
-        source = DatasetSource(
-            urls=(url,),
-            label_column=source.label_column,
-            checksum=source.checksum,
-            delimiter=source.delimiter,
-            skip_rows=source.skip_rows,
-            drop_columns=source.drop_columns,
-            drop_missing=source.drop_missing,
-            value_map=source.value_map,
-        )
+        source = replace(source, urls=(url,))
     digest = checksum if checksum is not None else source.checksum
 
     dest = Path(dest) if dest is not None else cache_dir() / f"{name}.csv"

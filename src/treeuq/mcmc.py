@@ -28,13 +28,17 @@ Cache invariant: a node's ``cache`` slot holds terms derived from the node's
 own fields and one Dataset, and the Dataset is stored with them. An internal
 node keeps ``(data, menu size, log(m * menu size))`` with ``None`` for the
 log term when its threshold is off its menu; a leaf keeps ``(data, alpha,
-Dirichlet-multinomial log marginal of its counts)``. Nodes are immutable and
-keep their ``indices``, so a term computed once stays exact, and path copies
-of an unchanged node carry it. A cache stored with another Dataset (or, for a
-leaf, another alpha) is recomputed, never reused. The prior and the
-likelihood of a tree are the cached terms summed in preorder with the same
-float operations a from-scratch evaluation uses, so they are bit-identical to
-it; a move therefore only pays for the nodes it creates.
+Dirichlet-multinomial log marginal of its counts)``, or ``(data, None,
+None)`` until it is first scored. Nodes are immutable and keep their
+``indices``, so a term computed once stays exact, and path copies of an
+unchanged node carry it. A cache stored with another Dataset (or, for a
+leaf, another alpha) is recomputed, never reused. The public entry points
+trust a tree's counts and rows only when its root is cached for the Dataset
+they are given, and otherwise re-route that Dataset through a copy first;
+every tree a chain builds has such a root, so a chain never re-routes. The
+prior and the likelihood of a tree are the cached terms summed in preorder
+with the same float operations a from-scratch evaluation uses, so they are
+bit-identical to it; a move therefore only pays for the nodes it creates.
 """
 
 from __future__ import annotations
@@ -46,20 +50,23 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import Dataset
-from .tree import DecisionTree, TreeNode, leaf_posterior_matrix, tree_size
+from .ensemble import ensemble_posterior_matrix
+from .tree import DecisionTree, TreeNode, tree_size, walk
+
+# Not used in this module: the benchmark's tracer (perfbench/tracing.py)
+# wraps this module's binding by name and reports a missing one.
+from .tree import leaf_posterior_matrix  # noqa: F401
 
 __all__ = [
     "ChainSample",
     "McmcConfig",
     "PosteriorEnsemble",
     "Proposal",
-    "bayes_predictive",
     "bayes_predictive_matrix",
     "dirichlet_multinomial_log_marginal",
     "ensemble_mean_size",
     "log_marginal_likelihood",
     "log_prior",
-    "mh_step",
     "propose_move",
     "refresh_counts",
     "run_chain",
@@ -161,11 +168,22 @@ def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
 def refresh_counts(tree: DecisionTree, data: Dataset) -> DecisionTree:
     """Re-route the training data through the tree, rebuilding counts/indices."""
     root = _rebuild_subtree(tree.root, data, np.arange(data.n))
+    if not root.is_leaf:
+        _rule_terms(root, data)  # caches the root for data, so the copy is trusted as it is
     return DecisionTree(root=root, num_classes=data.num_classes, min_leaf=tree.min_leaf)
 
 
 def _ensure_cached(tree: DecisionTree, data: Dataset) -> DecisionTree:
-    return tree if tree.root.indices is not None else refresh_counts(tree, data)
+    """The tree if the sampler built it on data, else a copy re-routed through data."""
+    cache = tree.root.cache
+    return tree if cache is not None and cache[0] is data else refresh_counts(tree, data)
+
+
+def _leaf(counts, indices: np.ndarray, data: Dataset) -> TreeNode:
+    """A leaf holding the given rows of data; its term is computed on first use."""
+    leaf = TreeNode(counts, indices=indices)
+    leaf.cache = (data, None, None)
+    return leaf
 
 
 def _split_menu(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
@@ -177,25 +195,6 @@ def _split_menu(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
 def _log_catalan(j: int) -> float:
     """log of the j-th Catalan number (number of shapes with j+1 leaves)."""
     return math.lgamma(2 * j + 1) - 2.0 * math.lgamma(j + 1) - math.log(j + 1)
-
-
-def _walk(root: TreeNode) -> tuple[list[TreeNode], list[TreeNode], list[TreeNode]]:
-    """Leaves, internal nodes and prunable nodes of a tree, each in preorder."""
-    leaves: list[TreeNode] = []
-    internals: list[TreeNode] = []
-    prunable: list[TreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.left is None:
-            leaves.append(node)
-            continue
-        internals.append(node)
-        if node.left.left is None and node.right.left is None:
-            prunable.append(node)
-        stack.append(node.right)
-        stack.append(node.left)
-    return leaves, internals, prunable
 
 
 def _rule_terms(node: TreeNode, data: Dataset) -> tuple[int, float | None]:
@@ -231,7 +230,7 @@ def _leaf_terms(leaves: list[TreeNode], data: Dataset, alpha: float) -> list[flo
 
 def log_marginal_likelihood(tree: DecisionTree, data: Dataset, alpha: float = 1.0) -> float:
     """Dirichlet-multinomial log marginal likelihood of the tree's partition."""
-    leaves, _, _ = _walk(_ensure_cached(tree, data).root)
+    leaves, _, _ = walk(_ensure_cached(tree, data).root)
     return float(np.array(_leaf_terms(leaves, data, alpha)).sum())
 
 
@@ -245,7 +244,7 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
 
 
 def _log_prior_cached(tree: DecisionTree, k_max: int, data: Dataset) -> float:
-    leaves, internals, _ = _walk(tree.root)
+    leaves, internals, _ = walk(tree.root)
     if len(leaves) > k_max or any(leaf.indices.size == 0 for leaf in leaves):
         return -math.inf
     log_rules = 0.0
@@ -300,7 +299,7 @@ def _rebuild_subtree(
         return node
     counts = np.bincount(data.labels[indices], minlength=data.num_classes)
     if node.is_leaf:
-        return TreeNode(counts, indices=indices)
+        return _leaf(counts, indices, data)
     goes_left = data.features[indices, node.feature] <= node.threshold
     return TreeNode(
         counts,
@@ -331,8 +330,8 @@ def _grow_leaf(leaves: list[TreeNode], data: Dataset, rng) -> tuple[int, TreeNod
         leaf.counts,
         feature=feature,
         threshold=threshold,
-        left=TreeNode(np.bincount(data.labels[left_idx], minlength=data.num_classes), indices=left_idx),
-        right=TreeNode(np.bincount(data.labels[right_idx], minlength=data.num_classes), indices=right_idx),
+        left=_leaf(np.bincount(data.labels[left_idx], minlength=data.num_classes), left_idx, data),
+        right=_leaf(np.bincount(data.labels[right_idx], minlength=data.num_classes), right_idx, data),
         indices=leaf.indices,
     )
     grown.cache = (data, menu.size, math.log(data.m * menu.size))
@@ -367,7 +366,7 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
 
     root = tree.root
     num_features = data.m
-    leaves, internals, prunable = _walk(root)
+    leaves, internals, prunable = walk(root)
 
     if kind == "birth":
         position, grown, menu_size = _grow_leaf(leaves, data, rng)
@@ -394,7 +393,7 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         menu_size, _ = _rule_terms(node, data)
         if menu_size < 1:
             return Proposal(kind, None, -math.inf, False)
-        collapsed = TreeNode(node.counts, indices=node.indices)
+        collapsed = _leaf(node.counts, node.indices, data)
         new_root = _copy_replace(root, node, collapsed)
         leaves_after = len(leaves) - 1
         log_ratio = (
@@ -410,23 +409,18 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         return Proposal(kind, None, -math.inf, False)
     node = internals[rng.integers(len(internals))]
 
+    # change_rule keeps the feature and redraws the threshold only
+    new_feature = int(rng.integers(num_features)) if kind == "change_variable" else node.feature
+    menu = _split_menu(data, node.indices, new_feature)
+    if menu.size == 0:
+        return Proposal(kind, None, -math.inf, False)
+    log_ratio = 0.0
     if kind == "change_variable":
-        new_feature = int(rng.integers(num_features))
-        menu = _split_menu(data, node.indices, new_feature)
-        if menu.size == 0:
-            return Proposal(kind, None, -math.inf, False)
         old_menu_size, _ = _rule_terms(node, data)
         if old_menu_size < 1:
             return Proposal(kind, None, -math.inf, False)
-        new_threshold = float(menu[rng.integers(menu.size)])
         log_ratio = math.log(menu.size) - math.log(old_menu_size)
-    else:  # change_rule
-        new_feature = node.feature
-        menu = _split_menu(data, node.indices, new_feature)
-        if menu.size == 0:
-            return Proposal(kind, None, -math.inf, False)
-        new_threshold = float(menu[rng.integers(menu.size)])
-        log_ratio = 0.0
+    new_threshold = float(menu[rng.integers(menu.size)])
 
     indices = node.indices
     goes_left = data.features[indices, new_feature] <= new_threshold
@@ -460,20 +454,6 @@ def _transition(tree, log_lik, log_pri, data, config, rng, loglik_fn):
     return tree, log_lik, log_pri, False
 
 
-def mh_step(current: ChainSample, data: Dataset, config: McmcConfig, seed) -> ChainSample:
-    """One Metropolis-Hastings step; returns the next chain state.
-
-    Accepts the proposal with probability min(1, exp(delta log marginal
-    likelihood + delta log prior + log proposal ratio)).
-    """
-    rng = np.random.default_rng(seed)
-    tree = _ensure_cached(current.tree, data)
-    log_lik = log_marginal_likelihood(tree, data, config.dirichlet_alpha)
-    log_pri = _log_prior_cached(tree, config.max_leaves, data)
-    tree, _, _, _ = _transition(tree, log_lik, log_pri, data, config, rng, log_marginal_likelihood)
-    return ChainSample(tree=tree, restart_index=current.restart_index, step_index=current.step_index + 1)
-
-
 def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
     """Random initial tree: grow from a single leaf to a uniform leaf count.
 
@@ -482,7 +462,7 @@ def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
     """
     rng = np.random.default_rng(seed)
     target_leaves = int(rng.integers(1, k_max + 1))
-    root = TreeNode(data.class_counts(), indices=np.arange(data.n))
+    root = _leaf(data.class_counts(), np.arange(data.n), data)
     leaves = [root]  # in preorder: a grown leaf's children take its place
     attempts = 0
     while len(leaves) < target_leaves and attempts < 20 * k_max:
@@ -564,41 +544,12 @@ def run_with_restarts(
 def bayes_predictive_matrix(
     ens: PosteriorEnsemble, features: np.ndarray, mode: str = "average", alpha: float = 1.0
 ) -> np.ndarray:
-    """Posterior-averaged class probabilities for each feature row, (n, C).
+    """Posterior class probabilities for each feature row, (n, C).
 
-    average: equal-weight mean over samples of the leaf Dirichlet posterior
-    mean (n_c + alpha)/(n + C*alpha). vote: fraction of samples whose argmax
-    class at the point is c. Repeated tree objects (rejected steps) are
-    evaluated once and weighted.
+    The retained samples scored by ``ensemble_posterior_matrix``: every
+    sample counts once, so a tree kept over several steps weighs more.
     """
-    if ens.n < 1:
-        raise ValueError("posterior ensemble is empty")
-    if mode not in ("average", "vote"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'vote' or 'average'")
-    features = np.asarray(features, dtype=np.float64)
-    num_classes = ens.samples[0].tree.num_classes
-    out = np.zeros((features.shape[0], num_classes))
-
-    distinct: dict[int, list] = {}
-    for sample in ens.samples:
-        entry = distinct.setdefault(id(sample.tree), [sample.tree, 0])
-        entry[1] += 1
-
-    rows = np.arange(features.shape[0])
-    for tree, weight in distinct.values():
-        posterior = leaf_posterior_matrix(tree, features, alpha=alpha)
-        if mode == "average":
-            out += weight * posterior
-        else:
-            out[rows, np.argmax(posterior, axis=1)] += weight
-    out /= ens.n
-    return out
-
-
-def bayes_predictive(ens: PosteriorEnsemble, x, mode: str = "average", alpha: float = 1.0) -> np.ndarray:
-    """Posterior-averaged class probabilities at a single point."""
-    x = np.asarray(x, dtype=np.float64)
-    return bayes_predictive_matrix(ens, x[None, :], mode=mode, alpha=alpha)[0]
+    return ensemble_posterior_matrix([s.tree for s in ens.samples], features, mode, alpha)
 
 
 def ensemble_mean_size(ens: PosteriorEnsemble) -> tuple[float, float]:

@@ -29,7 +29,7 @@ __all__ = [
     "serialize_tree",
     "top_k_splits",
     "tree_size",
-    "tree_total_nodes",
+    "walk",
 ]
 
 
@@ -66,19 +66,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def copy(self) -> TreeNode:
-        """Structural copy; count/index arrays are shared (treated immutable)."""
-        if self.is_leaf:
-            return TreeNode(self.counts, indices=self.indices)
-        return TreeNode(
-            self.counts,
-            feature=self.feature,
-            threshold=self.threshold,
-            left=self.left.copy(),
-            right=self.right.copy(),
-            indices=self.indices,
-        )
-
 
 @dataclass(frozen=True)
 class DecisionTree:
@@ -88,32 +75,32 @@ class DecisionTree:
     num_classes: int
     min_leaf: int = 1
 
-    def leaves(self) -> list[TreeNode]:
-        return [node for node in iter_nodes(self.root) if node.is_leaf]
 
-    def internal_nodes(self) -> list[TreeNode]:
-        return [node for node in iter_nodes(self.root) if not node.is_leaf]
+def walk(root: TreeNode) -> tuple[list[TreeNode], list[TreeNode], list[TreeNode]]:
+    """Leaves, internal nodes and prunable nodes of a tree, each in preorder.
 
-
-def iter_nodes(root: TreeNode):
-    """Preorder traversal."""
+    A prunable node is an internal node whose two children are leaves.
+    """
+    leaves: list[TreeNode] = []
+    internals: list[TreeNode] = []
+    prunable: list[TreeNode] = []
     stack = [root]
     while stack:
         node = stack.pop()
-        yield node
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
+        if node.left is None:
+            leaves.append(node)
+            continue
+        internals.append(node)
+        if node.left.left is None and node.right.left is None:
+            prunable.append(node)
+        stack.append(node.right)
+        stack.append(node.left)
+    return leaves, internals, prunable
 
 
 def tree_size(tree: DecisionTree) -> int:
     """Number of terminal nodes."""
-    return sum(1 for node in iter_nodes(tree.root) if node.is_leaf)
-
-
-def tree_total_nodes(tree: DecisionTree) -> int:
-    """Number of nodes of either kind (always 2 * leaves - 1)."""
-    return sum(1 for _ in iter_nodes(tree.root))
+    return len(walk(tree.root)[0])
 
 
 def _entropy_bits(counts: np.ndarray) -> np.ndarray:
@@ -288,17 +275,17 @@ def serialize_tree(tree: DecisionTree) -> str:
     """
     lines: list[str] = []
 
-    def walk(node: TreeNode) -> None:
+    def emit(node: TreeNode) -> None:
         node_id = len(lines)
         if node.is_leaf:
             counts = " ".join(str(int(c)) for c in node.counts)
             lines.append(f"{node_id} leaf {counts}")
         else:
             lines.append(f"{node_id} split {node.feature} {node.threshold!r}")
-            walk(node.left)
-            walk(node.right)
+            emit(node.left)
+            emit(node.right)
 
-    walk(tree.root)
+    emit(tree.root)
     return "\n".join(lines) + "\n"
 
 

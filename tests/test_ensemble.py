@@ -10,9 +10,10 @@ from treeuq import (
     RandomizedEnsemble,
     TreeNode,
     best_single_tree,
-    ensemble_posterior,
     ensemble_posterior_matrix,
+    leaf_posterior_matrix,
     make_benchmark_mixture,
+    parse_tree,
     sample_mixture,
     serialize_tree,
     train_ensemble,
@@ -30,31 +31,69 @@ def manual_ensemble(trees) -> RandomizedEnsemble:
     return RandomizedEnsemble(trees=tuple(trees), config=EnsembleConfig(n_trees=len(trees)))
 
 
+def point_posterior(trees, x, mode, alpha=1.0):
+    return ensemble_posterior_matrix(trees, [x], mode=mode, alpha=alpha)[0]
+
+
 class TestEnsemblePosterior:
     def test_vote_counting_998_of_1000(self):
-        trees = [stump(0)] * 998 + [stump(1)] * 2
-        post = ensemble_posterior(manual_ensemble(trees), [0.0], mode="vote")
+        trees = [stump(0)] * 998 + [stump(1)] * 2  # two tree objects, repeated
+        post = point_posterior(trees, [0.0], mode="vote")
         assert post == pytest.approx([0.998, 0.002], abs=1e-15)
 
     def test_average_of_mirrored_stumps(self):
-        post = ensemble_posterior(manual_ensemble([stump(0, 5), stump(1, 5)]), [0.0], mode="average")
+        post = point_posterior([stump(0, 5), stump(1, 5)], [0.0], mode="average")
         assert post == pytest.approx([0.5, 0.5])
+
+    @pytest.mark.parametrize("alpha, expected", [(1.0, [4 / 6, 2 / 6]), (2.0, [5 / 8, 3 / 8])])
+    def test_single_tree_is_its_smoothed_leaf(self, alpha, expected):
+        tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
+        assert point_posterior([tree], [0.0], "average", alpha) == pytest.approx(expected)
+        assert point_posterior([tree] * 5, [0.0], "vote", alpha) == pytest.approx([1.0, 0.0])
 
     def test_identical_trees_agree_with_single_tree(self):
         data = sample_mixture(make_benchmark_mixture(), 100, 3)
         ens = train_ensemble(data, EnsembleConfig(n_trees=5, min_leaf=5, seed=1))
-        clones = manual_ensemble([ens.trees[0]] * 7)
+        clones = [ens.trees[0]] * 7
         x = data.features[0]
         from treeuq import predict
 
         single = int(np.argmax(predict(ens.trees[0], x)))
-        assert int(np.argmax(ensemble_posterior(clones, x, mode="vote"))) == single
-        assert int(np.argmax(ensemble_posterior(clones, x, mode="average"))) == single
+        assert int(np.argmax(point_posterior(clones, x, mode="vote"))) == single
+        assert int(np.argmax(point_posterior(clones, x, mode="average"))) == single
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_distinct_trees_match_a_plain_loop_bit_for_bit(self, mode, alpha):
+        data = sample_mixture(make_benchmark_mixture(), 120, 4)
+        trees = train_ensemble(data, EnsembleConfig(n_trees=12, min_leaf=5, seed=3)).trees
+        rows = np.arange(data.n)
+        expected = np.zeros((data.n, 2))
+        for tree in trees:
+            posterior = leaf_posterior_matrix(tree, data.features, alpha=alpha)
+            if mode == "average":
+                expected += posterior
+            else:
+                expected[rows, np.argmax(posterior, axis=1)] += 1.0
+        expected /= len(trees)
+        post = ensemble_posterior_matrix(trees, data.features, mode=mode, alpha=alpha)
+        assert np.array_equal(post, expected)
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    def test_repeated_tree_objects_weigh_like_distinct_copies(self, mode):
+        data = sample_mixture(make_benchmark_mixture(), 120, 6)
+        a, b, c = train_ensemble(data, EnsembleConfig(n_trees=3, min_leaf=5, seed=8)).trees
+        repeated = [a, a, b, a, c, c]
+        copies = [parse_tree(serialize_tree(t), 2) for t in repeated]
+        post = ensemble_posterior_matrix(repeated, data.features, mode=mode)
+        assert np.allclose(post, ensemble_posterior_matrix(copies, data.features, mode=mode))
+        if mode == "vote":
+            assert np.array_equal(post * 6, np.round(post * 6))
 
     def test_vote_entries_are_multiples_and_sum_to_one(self):
         data = sample_mixture(make_benchmark_mixture(), 120, 9)
         ens = train_ensemble(data, EnsembleConfig(n_trees=40, min_leaf=5, seed=2))
-        post = ensemble_posterior_matrix(ens, data.features[:25], mode="vote")
+        post = ensemble_posterior_matrix(ens.trees, data.features[:25], mode="vote")
         scaled = post * 40
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
@@ -66,15 +105,19 @@ class TestEnsemblePosterior:
 
         x = data.features[3]
         for dup in range(len(ens.trees)):
-            bigger = manual_ensemble(list(ens.trees) + [ens.trees[dup]])
+            bigger = list(ens.trees) + [ens.trees[dup]]
             winner = int(np.argmax(predict(ens.trees[dup], x)))
-            before = ensemble_posterior(ens, x, mode="vote")[winner]
-            after = ensemble_posterior(bigger, x, mode="vote")[winner]
+            before = point_posterior(ens.trees, x, mode="vote")[winner]
+            after = point_posterior(bigger, x, mode="vote")[winner]
             assert after >= before - 1e-12
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            ensemble_posterior(manual_ensemble([stump(0)]), [0.0], mode="median")
+            point_posterior([stump(0)], [0.0], mode="median")
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ensemble_posterior_matrix([], [[0.0]])
 
 
 class TestTrainEnsemble:
@@ -135,7 +178,7 @@ class TestEnsembleSizeStability:
         small = manual_ensemble(ens.trees[:10])
 
         def accuracy(e):
-            post = ensemble_posterior_matrix(e, test.features, mode="vote")
+            post = ensemble_posterior_matrix(e.trees, test.features, mode="vote")
             return float(np.mean(np.argmax(post, axis=1) == test.labels))
 
         assert accuracy(ens) >= accuracy(small) - 0.01

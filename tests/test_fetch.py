@@ -71,6 +71,22 @@ class TestFetchDataset:
         data = load_csv(path, "class")
         assert data.n == 2
 
+        # the override replaces only the URL: the entry's conversion settings stay
+        register(
+            monkeypatch,
+            tmp_path,
+            "custom",
+            raw="junk\n",
+            delimiter=";",
+            drop_columns=(0,),
+            value_map={"y": "1", "n": "0"},
+        )
+        custom = tmp_path / "custom-other.raw"
+        custom.write_text("id1;y;n;pos\nid2;n;y;neg\n", encoding="utf-8")
+        data = load_csv(fetch_dataset("custom", url=custom.as_uri()), "class")
+        assert data.features.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert data.labels.tolist() == [0, 1]
+
 
 class TestConverter:
     def test_drop_missing_rows(self, tmp_path, monkeypatch):

@@ -66,17 +66,29 @@ def test_run_chain_golden(case):
     assert _sha256(text + trace.getvalue()) == pinned
 
 
+REPORT_CASES = [
+    # (envelope mode, p0, mcmc Dirichlet alpha, pinned sha256 of the CSV report)
+    ("vote", 0.95, 1.0, "971d9a336724b939ef1dc68f88ea68e4142fd037edb3d8acbb41623b4f50331a"),
+    # at p0 = 0.99 the average mode is never confident on this small config
+    ("average", 0.6, 2.0, "ebf2275bb39545a4a0b21d85d338b39a913befe16378a6839b83ebb9c55ef9ca"),
+]
+
+
 def test_emit_report_golden():
-    config = ExperimentConfig(
-        dataset="synthetic",
-        technique="both",
-        train_count=120,
-        test_count=300,
-        folds=3,
-        p0=0.95,
-        seed=7,
-        randomized=EnsembleConfig(n_trees=6, min_leaf=3),
-        mcmc=McmcConfig(restarts=2, burn_in=250, post_burn_in=250, max_leaves=20),
-    )
-    text = emit_report(run_experiment(config))
-    assert _sha256(text) == "971d9a336724b939ef1dc68f88ea68e4142fd037edb3d8acbb41623b4f50331a"
+    for mode, p0, alpha, pinned in REPORT_CASES:
+        config = ExperimentConfig(
+            dataset="synthetic",
+            technique="both",
+            train_count=120,
+            test_count=300,
+            folds=3,
+            p0=p0,
+            envelope_mode=mode,
+            seed=7,
+            randomized=EnsembleConfig(n_trees=6, min_leaf=3),
+            mcmc=McmcConfig(
+                restarts=2, burn_in=250, post_burn_in=250, max_leaves=20, dirichlet_alpha=alpha
+            ),
+        )
+        text = emit_report(run_experiment(config))
+        assert _sha256(text) == pinned, f"{mode} report changed"

@@ -13,12 +13,10 @@ from treeuq import (
     McmcConfig,
     PosteriorEnsemble,
     TreeNode,
-    bayes_predictive,
     bayes_predictive_matrix,
     ensemble_mean_size,
     log_marginal_likelihood,
     log_prior,
-    mh_step,
     propose_move,
     refresh_counts,
     run_chain,
@@ -28,6 +26,7 @@ from treeuq import (
     tree_size,
 )
 from treeuq.mcmc import dirichlet_multinomial_log_marginal
+from treeuq.tree import walk
 
 
 def continuous_dataset(seed=0, n=30, m=2):
@@ -236,28 +235,6 @@ class TestDetailedBalancePairing:
         assert checked == 3
 
 
-class TestMhStep:
-    def test_blocked_support_always_rejected(self):
-        # births from a single leaf with max_leaves=1 always hit a -inf prior
-        data = continuous_dataset(1, n=12)
-        config = McmcConfig(
-            restarts=1, burn_in=1, post_burn_in=1, max_leaves=1, move_probs=(1.0, 0.0, 0.0, 0.0)
-        )
-        state = ChainSample(sample_prior_tree(data, 1, 0), 0, 0)
-        for i in range(60):
-            state = mh_step(state, data, config, np.random.SeedSequence((3, i)))
-        assert tree_size(state.tree) == 1
-        assert state.step_index == 60
-
-    def test_same_seed_same_outcome(self):
-        data = continuous_dataset(2)
-        config = McmcConfig(restarts=1, burn_in=1, post_burn_in=1, max_leaves=8)
-        state = ChainSample(sample_prior_tree(data, 8, 5), 0, 0)
-        a = mh_step(state, data, config, 77)
-        b = mh_step(state, data, config, 77)
-        assert serialize_tree(a.tree) == serialize_tree(b.tree)
-
-
 class TestRunChain:
     def test_retained_count_with_thinning(self):
         data = continuous_dataset(3, n=25)
@@ -279,8 +256,19 @@ class TestRunChain:
         for sample in run_chain(data, config, seed=3):
             assert log_prior(sample.tree, config.max_leaves, data) > -math.inf
             assert tree_size(sample.tree) <= config.max_leaves
-            for leaf in sample.tree.leaves():
+            for leaf in walk(sample.tree.root)[0]:
                 assert leaf.counts.sum() >= 1
+
+    def test_blocked_support_always_rejected(self):
+        # births from a single leaf with max_leaves=1 always hit a -inf prior
+        data = continuous_dataset(1, n=12)
+        config = McmcConfig(
+            restarts=1, burn_in=30, post_burn_in=30, max_leaves=1, move_probs=(1.0, 0.0, 0.0, 0.0)
+        )
+        samples = run_chain(data, config, seed=3)
+        assert len(samples) == 30
+        assert all(s.tree is samples[0].tree for s in samples)
+        assert tree_size(samples[0].tree) == 1
 
 
 class TestRunWithRestarts:
@@ -335,17 +323,17 @@ class TestBayesPredictive:
     def test_single_sample_equals_leaf_posterior(self):
         tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
         ens = self._posterior_ensemble([tree])
-        assert bayes_predictive(ens, [0.0], mode="average") == pytest.approx([4 / 6, 2 / 6])
+        assert bayes_predictive_matrix(ens, [[0.0]], mode="average")[0] == pytest.approx([4 / 6, 2 / 6])
 
     def test_average_of_mirrored_samples(self):
         a = DecisionTree(TreeNode([5, 0]), num_classes=2)
         b = DecisionTree(TreeNode([0, 5]), num_classes=2)
-        post = bayes_predictive(self._posterior_ensemble([a, b]), [0.0], mode="average")
+        post = bayes_predictive_matrix(self._posterior_ensemble([a, b]), [[0.0]], mode="average")[0]
         assert post == pytest.approx([0.5, 0.5])
 
     def test_identical_samples_vote_one_hot(self):
         tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
-        post = bayes_predictive(self._posterior_ensemble([tree] * 5), [0.0], mode="vote")
+        post = bayes_predictive_matrix(self._posterior_ensemble([tree] * 5), [[0.0]], mode="vote")[0]
         assert post == pytest.approx([1.0, 0.0])
 
     def test_vote_entries_multiples_of_one_over_n(self):
@@ -356,10 +344,14 @@ class TestBayesPredictive:
         scaled = post * ens.n
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
 
+    def test_empty_posterior_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            bayes_predictive_matrix(PosteriorEnsemble(samples=()), [[0.0]])
+
     def test_dirichlet_alpha_changes_smoothing(self):
         tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
         ens = self._posterior_ensemble([tree])
-        post = bayes_predictive(ens, [0.0], mode="average", alpha=2.0)
+        post = bayes_predictive_matrix(ens, [[0.0]], mode="average", alpha=2.0)[0]
         assert post == pytest.approx([5 / 8, 3 / 8])
 
 

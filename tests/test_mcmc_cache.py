@@ -14,29 +14,31 @@ from hypothesis import strategies as st
 
 from treeuq import (
     Dataset,
+    McmcConfig,
     log_marginal_likelihood,
     log_prior,
     propose_move,
     refresh_counts,
+    run_chain,
     sample_prior_tree,
     serialize_tree,
+    tree_size,
 )
+from treeuq import mcmc
 from treeuq.mcmc import _log_prior_cached, dirichlet_multinomial_log_marginal
-from treeuq.tree import iter_nodes
+from treeuq.tree import walk
 
 ALL_KINDS = (0.25, 0.25, 0.25, 0.25)
 
 
 def oracle_log_prior(tree, k_max, data):
     """The prior's definition, evaluated node by node with no cached term."""
-    num_leaves = 0
+    leaves, internals, _ = walk(tree.root)
+    num_leaves = len(leaves)
+    if any(leaf.counts.sum() == 0 for leaf in leaves):
+        return -math.inf
     log_rules = 0.0
-    for node in iter_nodes(tree.root):
-        if node.is_leaf:
-            num_leaves += 1
-            if node.counts.sum() == 0:
-                return -math.inf
-            continue
+    for node in internals:
         values = np.unique(data.features[node.indices, node.feature])
         menu = values[:-1]
         if menu.size == 0 or node.threshold not in menu:
@@ -67,7 +69,7 @@ def check_state(tree, data, k_max, alpha):
     assert cached_prior == log_prior(fresh, k_max, data)
     assert cached_prior == oracle_log_prior(fresh, k_max, data)
     assert cached_lik == log_marginal_likelihood(fresh, data, alpha)
-    counts = np.array([leaf.counts for leaf in fresh.leaves()])
+    counts = np.array([leaf.counts for leaf in walk(fresh.root)[0]])
     assert cached_lik == dirichlet_multinomial_log_marginal(counts, alpha)
     return cached_prior
 
@@ -116,7 +118,7 @@ def test_walk_reaches_every_kind_and_both_kinds_of_unsupported_state():
         if check_state(proposal.tree, data, 12, 1.0) > -math.inf:
             tree = proposal.tree
         elif proposal.kind == "change_rule":
-            if any(leaf.counts.sum() == 0 for leaf in proposal.tree.leaves()):
+            if any(leaf.counts.sum() == 0 for leaf in walk(proposal.tree.root)[0]):
                 empty_leaf += 1
             else:
                 off_menu += 1
@@ -129,7 +131,7 @@ def test_cache_built_on_another_dataset_is_not_reused():
     data = make_dataset(1, 30, 2, 2, grid=0)
     other = Dataset(data.features * 3.0, 1 - data.labels, 2, data.feature_names)
     tree = next(
-        t for s in range(50) if len((t := sample_prior_tree(data, 6, s)).internal_nodes()) >= 2
+        t for s in range(50) if len(walk((t := sample_prior_tree(data, 6, s)).root)[1]) >= 2
     )
     assert log_prior(tree, 6, data) == oracle_log_prior(tree, 6, data)
     log_marginal_likelihood(tree, data, 1.0)
@@ -137,7 +139,41 @@ def test_cache_built_on_another_dataset_is_not_reused():
     assert log_prior(tree, 6, other) == -math.inf
     assert log_prior(tree, 6, data) == oracle_log_prior(tree, 6, data)
     for alpha in (1.0, 2.0):
-        counts = np.array([leaf.counts for leaf in tree.leaves()])
+        counts = np.array([leaf.counts for leaf in walk(tree.root)[0]])
         assert log_marginal_likelihood(tree, data, alpha) == dirichlet_multinomial_log_marginal(
             counts, alpha
         )
+
+
+def test_tree_built_on_another_dataset_is_scored_on_the_given_one():
+    a = make_dataset(1, 30, 2, 2, grid=0)
+    b = make_dataset(2, 30, 2, 2, grid=0)
+    tree = next(t for s in range(50) if len(walk((t := sample_prior_tree(a, 6, s)).root)[0]) >= 3)
+    fresh = refresh_counts(tree, b)
+    assert serialize_tree(fresh) != serialize_tree(tree)  # b routes differently
+    assert mcmc._ensure_cached(fresh, b) is fresh
+    assert log_marginal_likelihood(tree, b, 1.0) == log_marginal_likelihood(fresh, b, 1.0)
+    assert log_prior(tree, 6, b) == oracle_log_prior(fresh, 6, b)
+    for seed in range(20):
+        proposal = propose_move(tree, b, ALL_KINDS, seed)
+        if proposal.feasible:
+            rerouted = refresh_counts(proposal.tree, b)
+            assert serialize_tree(proposal.tree) == serialize_tree(rerouted)
+
+
+def test_a_chain_never_reroutes_its_own_states(monkeypatch):
+    # every state the sampler builds carries its Dataset in the root's cache,
+    # so the public entry points a chain calls trust it as it is
+    def reroute(tree, data):
+        raise AssertionError("a chain state was re-routed")
+
+    monkeypatch.setattr(mcmc, "refresh_counts", reroute)
+    data = make_dataset(5, 30, 2, 2, grid=0)
+    config = McmcConfig(restarts=1, burn_in=200, post_burn_in=200, max_leaves=3)
+    starts = set()
+    for seed in (0, 11):
+        for loglik_fn in (None, lambda tree, data, alpha: 0.0):
+            samples = run_chain(data, config, seed=seed, loglik_fn=loglik_fn)
+            assert min(tree_size(s.tree) for s in samples) == 1  # deaths reach a single leaf
+        starts.add(tree_size(mcmc.sample_prior_tree(data, 3, np.random.default_rng(seed))))
+    assert 1 in starts  # some chains start from a single leaf

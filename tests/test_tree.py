@@ -21,9 +21,8 @@ from treeuq import (
     serialize_tree,
     top_k_splits,
     tree_size,
-    tree_total_nodes,
 )
-from treeuq.tree import iter_nodes
+from treeuq.tree import walk
 
 
 def oracle_entropy(counts) -> float:
@@ -229,11 +228,11 @@ class TestGrowRandomized:
     def test_min_leaf_invariant_and_count_conservation(self):
         data = sample_mixture(make_benchmark_mixture(), 150, 6)
         tree = grow_randomized(data, min_leaf=5, seed=7)
-        for node in iter_nodes(tree.root):
-            if node.is_leaf:
-                assert node.counts.sum() >= tree.min_leaf
-            else:
-                assert np.array_equal(node.counts, node.left.counts + node.right.counts)
+        leaves, internals, _ = walk(tree.root)
+        for node in leaves:
+            assert node.counts.sum() >= tree.min_leaf
+        for node in internals:
+            assert np.array_equal(node.counts, node.left.counts + node.right.counts)
 
     def test_top_k_one_is_greedy_and_seed_free(self):
         data = sample_mixture(make_benchmark_mixture(), 100, 8)
@@ -251,7 +250,9 @@ class TestTreeSize:
             TreeNode([2, 2], feature=0, threshold=0.0, left=TreeNode([2, 0]), right=TreeNode([0, 2])), 2
         )
         assert tree_size(tree) == 2
-        assert tree_total_nodes(tree) == 3
+        leaves, internals, prunable = walk(tree.root)
+        assert leaves == [tree.root.left, tree.root.right]
+        assert internals == prunable == [tree.root]
 
     def test_complete_depth_three(self):
         def complete(depth):
@@ -263,7 +264,11 @@ class TestTreeSize:
 
         tree = DecisionTree(complete(3), 2)
         assert tree_size(tree) == 8
-        assert tree_total_nodes(tree) == 15
+        leaves, internals, prunable = walk(tree.root)
+        assert (len(leaves), len(internals), len(prunable)) == (8, 7, 4)
+        # preorder: the root first, then the whole left subtree
+        assert internals[:3] == [tree.root, tree.root.left, tree.root.left.left]
+        assert leaves[0] is tree.root.left.left.left
 
 
 class TestSerialization:
