@@ -9,6 +9,7 @@ Bayes rule on it; ``bayes_posterior`` evaluates that rule exactly and
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,7 +200,7 @@ def load_csv(path, label_column: str | int) -> Dataset:
         if not token:
             raise DatasetError(f"{path}: row {r}, column {header[label_idx]!r}: empty label")
         labels[r - 1] = label_codes.setdefault(token, len(label_codes))
-        col = 0
+        values = []
         for i, cell in enumerate(row):
             if i == label_idx:
                 continue
@@ -209,10 +210,10 @@ def load_csv(path, label_column: str | int) -> Dataset:
                 raise DatasetError(
                     f"{path}: row {r}, column {header[i]!r}: cannot parse {cell.strip()!r} as a number"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DatasetError(f"{path}: row {r}, column {header[i]!r}: non-finite value")
-            features[r - 1, col] = value
-            col += 1
+            values.append(value)
+        features[r - 1] = values
 
     if len(label_codes) < 2:
         raise DatasetError(f"{path}: only one class present; classification is undefined")

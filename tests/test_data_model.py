@@ -47,6 +47,26 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r"row 2, column 'c'"):
             load_csv(path, "y")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, token):
+        path = _write(tmp_path / "nonfinite.csv", f"a,y,b\n1,p,2\n3,q,4\n5,p,{token}\n")
+        with pytest.raises(DatasetError, match=r"row 3, column 'b': non-finite value"):
+            load_csv(path, "y")
+
+    def test_earliest_bad_row_is_reported_first(self, tmp_path):
+        path = _write(tmp_path / "order.csv", "a,b,y\n1,2,p\n3,nan,q\n?,4,p\n")
+        with pytest.raises(DatasetError, match=r"row 2, column 'b': non-finite value"):
+            load_csv(path, "y")
+        path = _write(tmp_path / "order2.csv", "a,b,y\n1,2,p\nx,inf,q\n")
+        with pytest.raises(DatasetError, match=r"row 2, column 'a': cannot parse 'x'"):
+            load_csv(path, "y")
+
+    def test_label_column_between_features(self, tmp_path):
+        path = _write(tmp_path / "mid.csv", "a,y,b\n1.5,p,-2\n3,q,4e1\n")
+        data = load_csv(path, "y")
+        assert data.feature_names == ("a", "b")
+        assert data.features.tolist() == [[1.5, -2.0], [3.0, 40.0]]
+
     def test_single_class_rejected(self, tmp_path):
         path = _write(tmp_path / "one.csv", "x,y\n1.0,a\n2.0,a\n")
         with pytest.raises(DatasetError, match="one class"):

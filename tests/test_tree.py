@@ -8,6 +8,7 @@ import pytest
 from treeuq import (
     Dataset,
     DecisionTree,
+    SplitRule,
     TreeNode,
     enumerate_splits,
     grow_randomized,
@@ -22,7 +23,7 @@ from treeuq import (
     top_k_splits,
     tree_size,
 )
-from treeuq.tree import walk
+from treeuq.tree import _gain_bits, walk
 
 
 def oracle_entropy(counts) -> float:
@@ -61,6 +62,43 @@ def oracle_splits(data: Dataset, min_leaf: int):
             parent = [l + r for l, r in zip(left, right)]
             out.append(((j, threshold), oracle_gain(parent, left, right)))
     return out
+
+
+def loop_splits(data: Dataset, min_leaf: int):
+    """Per-feature split search, one numpy pass per column.
+
+    This is the scorer ``enumerate_splits`` replaced; with fewer than 8
+    classes its float operations are the reference the one-pass version must
+    match bit for bit. (From 8 classes on, numpy may sum this loop's
+    broadcast parent entropy in another order, depending on how many
+    candidates the feature has, so it can differ in the last bit.)
+    """
+    n = data.n
+    if n < 2:
+        return []
+    onehot = np.zeros((n, data.num_classes), dtype=np.int64)
+    onehot[np.arange(n), data.labels] = 1
+    parent = onehot.sum(axis=0)
+    candidates = []
+    for j in range(data.m):
+        values = data.features[:, j]
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        cuts = np.flatnonzero(sorted_values[:-1] != sorted_values[1:])
+        left_sizes = cuts + 1
+        cuts = cuts[(left_sizes >= min_leaf) & (n - left_sizes >= min_leaf)]
+        if cuts.size == 0:
+            continue
+        left = np.cumsum(onehot[order], axis=0)[cuts]
+        right = parent[None, :] - left
+        gains = _gain_bits(np.broadcast_to(parent, left.shape), left, right)
+        thresholds = (sorted_values[cuts] + sorted_values[cuts + 1]) / 2.0
+        candidates.extend((SplitRule(j, float(t)), float(g)) for t, g in zip(thresholds, gains))
+    return candidates
+
+
+def full_sort_top_k(candidates, k):
+    return sorted(candidates, key=lambda c: (-c[1], c[0].feature, c[0].threshold))[:k]
 
 
 def random_dataset(rng, n, m=2, num_classes=2, grid=None):
@@ -132,6 +170,62 @@ class TestEnumerateSplits:
             assert gain == pytest.approx(oracle, abs=1e-12)
 
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical_to_the_per_feature_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 90))
+        m = int(rng.integers(1, 7))
+        num_classes = 2 + seed % 2
+        # coarse grids give long runs of tied values; one column is constant
+        data = random_dataset(rng, max(n, num_classes), m=m, num_classes=num_classes,
+                              grid=int(rng.integers(2, 12)))
+        features = data.features.copy()
+        features[:, int(rng.integers(m))] = 0.25
+        if seed % 3 == 0:
+            features += rng.standard_normal(features.shape) * 1e-3 * (features > 2)
+        data = Dataset(features, data.labels, num_classes, data.feature_names)
+        for min_leaf in range(1, 6):
+            got = enumerate_splits(data, min_leaf)
+            expected = loop_splits(data, min_leaf)
+            assert got == expected
+            assert [gain for _, gain in got] == [gain for _, gain in expected]
+            for rule, gain in got:
+                assert type(rule) is SplitRule
+                assert type(rule.feature) is int and type(rule.threshold) is float
+                assert type(gain) is float
+
+    def test_bit_identical_on_the_wide_mixture(self):
+        data = sample_mixture(make_benchmark_mixture(), 200, 9)
+        wide = Dataset(
+            np.round(np.hstack([data.features, data.features * 3.0]), 1),
+            data.labels, 2, ("a", "b", "c", "d"),
+        )
+        for min_leaf in (1, 5):
+            assert enumerate_splits(wide, min_leaf) == loop_splits(wide, min_leaf)
+
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 8, 9, 12])
+    def test_each_gain_is_information_gain_bit_for_bit(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        data = random_dataset(rng, 150, m=4, num_classes=num_classes, grid=9)
+        for rule, gain in enumerate_splits(data, min_leaf=2):
+            goes_left = data.features[:, rule.feature] <= rule.threshold
+            left = np.bincount(data.labels[goes_left], minlength=num_classes)
+            right = np.bincount(data.labels[~goes_left], minlength=num_classes)
+            assert gain == information_gain(left + right, left, right)
+
+
+class TestSplitRule:
+    def test_immutable_hashable_and_ordered(self):
+        rule = SplitRule(1, 0.5)
+        assert (rule.feature, rule.threshold) == (1, 0.5)
+        with pytest.raises(AttributeError):
+            rule.feature = 2
+        assert not hasattr(rule, "__dict__")
+        assert len({rule, SplitRule(1, 0.5), SplitRule(0, 0.5)}) == 2
+        assert SplitRule(0, 2.0) < SplitRule(1, 0.5) < SplitRule(1, 1.5)
+
+
 class TestTopKSplits:
     def test_top_two_by_gain(self):
         from treeuq import SplitRule
@@ -157,6 +251,33 @@ class TestTopKSplits:
         got = top_k_splits(cands, 20)
         expected = sorted(cands, key=lambda c: (-c[1], c[0].feature, c[0].threshold))[:20]
         assert got == expected
+
+    def test_all_equal_gains(self):
+        cands = [(SplitRule(f, float(t)), 0.25) for f in (2, 0, 1) for t in (3, 1, 2)]
+        for k in (1, 4, 9, 10):
+            assert top_k_splits(cands, k) == full_sort_top_k(cands, k)
+
+    def test_tie_group_straddling_the_cut_off(self):
+        rng = np.random.default_rng(3)
+        for trial in range(40):
+            size = int(rng.integers(2, 60))
+            cands = [
+                (SplitRule(int(rng.integers(4)), float(rng.integers(6))),
+                 float(rng.choice([0.1, 0.2, 0.2 + 1e-17, 0.3, 1 / 3])))
+                for _ in range(size)
+            ]
+            for k in range(1, size + 2):
+                got = top_k_splits(cands, k)
+                expected = full_sort_top_k(cands, k)
+                assert got == expected
+                # equal keys come back as the same objects, in input order
+                assert all(a is b for a, b in zip(got, expected))
+
+    def test_fewer_candidates_than_k_keeps_all_sorted(self):
+        cands = [(SplitRule(1, 0.5), 0.2), (SplitRule(0, 1.5), 0.2), (SplitRule(0, 0.5), 0.7)]
+        assert top_k_splits(cands, 20) == full_sort_top_k(cands, 20)
+        assert top_k_splits(cands[:1], 1) == cands[:1]
+        assert top_k_splits([], 5) == []
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
