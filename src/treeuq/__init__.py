@@ -23,15 +23,13 @@ from .data import (
 )
 from .ensemble import (
     EnsembleConfig,
-    RandomizedEnsemble,
     best_single_tree,
+    ensemble_mean_size,
     ensemble_posterior_matrix,
     train_ensemble,
 )
 from .envelope import (
-    EnvelopeOutcome,
     EnvelopeSummary,
-    classify_outcome,
     cross_fold_summary,
     envelope_rates,
     p_min,
@@ -54,7 +52,6 @@ from .mcmc import (
     PosteriorEnsemble,
     Proposal,
     bayes_predictive_matrix,
-    ensemble_mean_size,
     log_marginal_likelihood,
     log_prior,
     propose_move,
@@ -70,10 +67,8 @@ from .tree import (
     enumerate_splits,
     grow_randomized,
     information_gain,
-    leaf_posterior,
     leaf_posterior_matrix,
     parse_tree,
-    predict,
     serialize_tree,
     top_k_splits,
     tree_size,

@@ -1,28 +1,30 @@
-"""Ensembles of split-randomised decision trees.
+"""Tree ensembles: split-randomised training, scoring and size summary.
 
-Each tree picks every split uniformly among its top-20 information-gain
-candidates, so independently seeded trees disagree near class boundaries.
-The ensemble posterior either averages per-tree posteriors or counts
-per-tree argmax votes; the vote form is what the uncertainty envelope
-consumes. The same scorer turns the Bayesian sampler's retained trees into
-its posterior, so both techniques are judged by one function.
+An ensemble is a plain sequence of trees. ``train_ensemble`` grows one in
+which each tree picks every split uniformly among its top-20
+information-gain candidates, so independently seeded trees disagree near
+class boundaries. The ensemble posterior either averages per-tree posteriors
+or counts per-tree argmax votes; the vote form is what the uncertainty
+envelope consumes. The Bayesian sampler's retained trees go through the same
+scorer and the same size summary, so both techniques are judged by one
+function each.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .tree import DecisionTree, grow_randomized, leaf_posterior_matrix
+from .tree import DecisionTree, grow_randomized, leaf_posterior_matrix, tree_size
 
 __all__ = [
     "EnsembleConfig",
-    "RandomizedEnsemble",
     "best_single_tree",
     "default_min_leaf",
+    "ensemble_mean_size",
     "ensemble_posterior_matrix",
     "train_ensemble",
 ]
@@ -47,27 +49,23 @@ class EnsembleConfig:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class RandomizedEnsemble:
-    trees: tuple[DecisionTree, ...]
-    config: EnsembleConfig
-
-
 def default_min_leaf(train_size: int) -> int:
     return MIN_LEAF_LARGE if train_size > LARGE_TRAIN_THRESHOLD else MIN_LEAF_SMALL
 
 
-def train_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) -> RandomizedEnsemble:
+def train_ensemble(
+    train: Dataset, config: EnsembleConfig = EnsembleConfig()
+) -> tuple[DecisionTree, ...]:
     """Grow config.n_trees randomised trees with independent seed streams.
 
     Per-tree seeds derive from config.seed as SeedSequence((seed, tree_index)),
-    so any tree is reproducible in isolation.
+    so any tree is reproducible in isolation. Every tree records the resolved
+    min_leaf in ``DecisionTree.min_leaf``.
     """
     if config.n_trees < 1:
         raise ValueError(f"need n_trees >= 1, got {config.n_trees}")
     min_leaf = config.min_leaf if config.min_leaf is not None else default_min_leaf(train.n)
-    resolved = replace(config, min_leaf=min_leaf)
-    trees = tuple(
+    return tuple(
         grow_randomized(
             train,
             min_leaf=min_leaf,
@@ -76,7 +74,6 @@ def train_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) ->
         )
         for i in range(config.n_trees)
     )
-    return RandomizedEnsemble(trees=trees, config=resolved)
 
 
 def ensemble_posterior_matrix(
@@ -112,16 +109,25 @@ def ensemble_posterior_matrix(
     return out
 
 
-def best_single_tree(ens: RandomizedEnsemble, validation: Dataset) -> tuple[int, float]:
+def best_single_tree(trees: Sequence[DecisionTree], validation: Dataset) -> tuple[int, float]:
     """Index and accuracy of the tree with best argmax accuracy on validation.
 
     Ties go to the lowest tree index.
     """
     if validation.n < 1:
         raise ValueError("validation set is empty")
-    accuracies = np.empty(len(ens.trees))
-    for i, tree in enumerate(ens.trees):
+    accuracies = np.empty(len(trees))
+    for i, tree in enumerate(trees):
         predicted = np.argmax(leaf_posterior_matrix(tree, validation.features), axis=1)
         accuracies[i] = np.mean(predicted == validation.labels)
     best = int(np.argmax(accuracies))
     return best, float(accuracies[best])
+
+
+def ensemble_mean_size(trees: Sequence[DecisionTree]) -> tuple[float, float]:
+    """Sample mean and sample standard deviation of the trees' leaf counts."""
+    if len(trees) < 1:
+        raise ValueError("ensemble is empty")
+    sizes = np.array([tree_size(tree) for tree in trees], dtype=np.float64)
+    std = float(sizes.std(ddof=1)) if sizes.size > 1 else 0.0
+    return float(sizes.mean()), std

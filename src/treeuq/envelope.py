@@ -9,27 +9,18 @@ class, and uncertain otherwise. The lowest achievable top probability is
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EnvelopeOutcome",
     "EnvelopeSummary",
-    "classify_outcome",
     "cross_fold_summary",
     "envelope_rates",
     "p_min",
 ]
 
 POSTERIOR_SUM_TOLERANCE = 1e-6
-
-
-class EnvelopeOutcome(enum.Enum):
-    CONFIDENTLY_CORRECT = "confidently_correct"
-    CONFIDENTLY_INCORRECT = "confidently_incorrect"
-    UNCERTAIN = "uncertain"
 
 
 @dataclass(frozen=True)
@@ -59,52 +50,38 @@ def p_min(num_classes: int) -> float:
     return 1.0 / num_classes
 
 
-def _check_posterior(posterior: np.ndarray) -> np.ndarray:
-    posterior = np.asarray(posterior, dtype=np.float64)
-    if posterior.ndim != 1 or posterior.size < 2:
-        raise ValueError(f"posterior must be a vector over >= 2 classes, got shape {posterior.shape}")
-    if abs(posterior.sum() - 1.0) > POSTERIOR_SUM_TOLERANCE or posterior.min() < -POSTERIOR_SUM_TOLERANCE:
-        raise ValueError(f"invalid posterior {posterior!r}: entries must be probabilities summing to 1")
-    return posterior
-
-
-def _check_p0(p0: float, num_classes: int) -> None:
-    if not p_min(num_classes) < p0 <= 1.0:
-        raise ValueError(f"p0 must lie in (1/{num_classes}, 1], got {p0}")
-
-
-def classify_outcome(posterior, true_label: int, p0: float) -> EnvelopeOutcome:
-    """Outcome of one prediction at confidence threshold p0.
-
-    The predicted class is the argmax of the posterior (ties to the lower
-    index).
-    """
-    posterior = _check_posterior(posterior)
-    _check_p0(p0, posterior.size)
-    predicted = int(np.argmax(posterior))
-    if posterior[predicted] >= p0:
-        if predicted == true_label:
-            return EnvelopeOutcome.CONFIDENTLY_CORRECT
-        return EnvelopeOutcome.CONFIDENTLY_INCORRECT
-    return EnvelopeOutcome.UNCERTAIN
-
-
 def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
-    """Outcome fractions and argmax accuracy over one test set."""
+    """Outcome fractions and argmax accuracy over one test set.
+
+    Row i of posteriors is the class posterior of test point i and labels[i]
+    its true class. The predicted class is the row's argmax (ties to the
+    lower index); the outcome is confident when its probability reaches p0.
+    """
     posteriors = np.asarray(posteriors, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a vector, got shape {labels.shape}")
     if posteriors.ndim != 2 or posteriors.shape[0] != labels.shape[0]:
-        raise ValueError(
-            f"got {posteriors.shape[0] if posteriors.ndim == 2 else 'malformed'} posteriors "
-            f"for {labels.shape[0]} labels"
-        )
+        raise ValueError(f"got posteriors of shape {posteriors.shape} for {labels.shape[0]} labels")
     if posteriors.shape[0] < 1:
         raise ValueError("need at least one prediction")
-    sums = posteriors.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > POSTERIOR_SUM_TOLERANCE):
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"posterior {bad} sums to {sums[bad]!r}, not 1")
-    _check_p0(p0, posteriors.shape[1])
+    # a NaN entry fails both comparisons, an infinite one (or inf - inf) one of them
+    with np.errstate(invalid="ignore"):
+        valid = (posteriors.min(axis=1) >= -POSTERIOR_SUM_TOLERANCE) & (
+            np.abs(posteriors.sum(axis=1) - 1.0) <= POSTERIOR_SUM_TOLERANCE
+        )
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise ValueError(
+            f"invalid posterior {bad} {posteriors[bad]!r}: entries must be probabilities summing to 1"
+        )
+    num_classes = posteriors.shape[1]
+    if not p_min(num_classes) < p0 <= 1.0:
+        raise ValueError(f"p0 must lie in (1/{num_classes}, 1], got {p0}")
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ValueError(f"label {bad} is {labels[bad]}, outside 0..{num_classes - 1}")
 
     predicted = np.argmax(posteriors, axis=1)
     confident = posteriors[np.arange(len(labels)), predicted] >= p0

@@ -23,15 +23,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, kfold_split, load_csv, make_benchmark_mixture, sample_mixture
-from .ensemble import EnsembleConfig, best_single_tree, ensemble_posterior_matrix, train_ensemble
-from .envelope import EnvelopeSummary, cross_fold_summary, envelope_rates, p_min
-from .mcmc import (
-    McmcConfig,
-    bayes_predictive_matrix,
+from .ensemble import (
+    EnsembleConfig,
+    best_single_tree,
     ensemble_mean_size,
-    run_with_restarts,
+    ensemble_posterior_matrix,
+    train_ensemble,
 )
-from .tree import leaf_posterior_matrix, tree_size
+from .envelope import EnvelopeSummary, cross_fold_summary, envelope_rates, p_min
+from .mcmc import McmcConfig, bayes_predictive_matrix, run_with_restarts
+from .tree import DecisionTree, leaf_posterior_matrix
 
 __all__ = [
     "BayesianResult",
@@ -284,18 +285,17 @@ def _accuracy(posteriors: np.ndarray, labels: np.ndarray) -> float:
 def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> RandomizedResult:
     folds = kfold_split(train.n, config.folds, np.random.SeedSequence((config.seed, 2)))
     fold_results: list[FoldResult] = []
-    sizes: list[int] = []
+    all_trees: list[DecisionTree] = []
     for f in range(config.folds):
         seed = int(np.random.SeedSequence((config.seed, 3, f)).generate_state(1)[0])
         ens_config = replace(config.randomized, seed=seed)
-        ens = train_ensemble(train.subset(folds.train_indices(f)), ens_config)
+        trees = train_ensemble(train.subset(folds.train_indices(f)), ens_config)
         validation = train.subset(folds.test_indices(f))
 
-        posteriors = ensemble_posterior_matrix(ens.trees, test.features, mode=config.envelope_mode)
-        best_idx, best_val_acc = best_single_tree(ens, validation)
-        best_tree_posteriors = leaf_posterior_matrix(ens.trees[best_idx], test.features)
-        fold_sizes = [tree_size(t) for t in ens.trees]
-        sizes.extend(fold_sizes)
+        posteriors = ensemble_posterior_matrix(trees, test.features, mode=config.envelope_mode)
+        best_idx, best_val_acc = best_single_tree(trees, validation)
+        best_tree_posteriors = leaf_posterior_matrix(trees[best_idx], test.features)
+        all_trees.extend(trees)
         fold_results.append(
             FoldResult(
                 fold_index=f,
@@ -304,20 +304,20 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
                 best_tree_validation_accuracy=best_val_acc,
                 best_tree_test_accuracy=_accuracy(best_tree_posteriors, test.labels),
                 envelope=envelope_rates(posteriors, test.labels, config.p0),
-                mean_tree_size=float(np.mean(fold_sizes)),
+                mean_tree_size=ensemble_mean_size(trees)[0],
             )
         )
 
     accuracies = np.array([fr.ensemble_accuracy for fr in fold_results])
     best_accs = np.array([fr.best_tree_test_accuracy for fr in fold_results])
-    all_sizes = np.array(sizes, dtype=np.float64)
+    size_mean, size_std = ensemble_mean_size(all_trees)
     return RandomizedResult(
         accuracy=float(accuracies.mean()),
         accuracy_2sigma=float(2.0 * accuracies.std(ddof=1)),
         best_single_accuracy=float(best_accs.mean()),
         best_single_2sigma=float(2.0 * best_accs.std(ddof=1)),
-        size_mean=float(all_sizes.mean()),
-        size_std=float(all_sizes.std(ddof=1)),
+        size_mean=size_mean,
+        size_std=size_std,
         envelope=cross_fold_summary(fr.envelope for fr in fold_results),
         folds=tuple(fold_results),
     )
@@ -332,7 +332,7 @@ def _run_bayesian(
     posteriors = bayes_predictive_matrix(
         ens, test.features, mode=config.envelope_mode, alpha=mcmc_config.dirichlet_alpha
     )
-    size_mean, size_std = ensemble_mean_size(ens)
+    size_mean, size_std = ensemble_mean_size([s.tree for s in ens.samples])
     return BayesianResult(
         accuracy=_accuracy(posteriors, test.labels),
         size_mean=size_mean,

@@ -64,7 +64,6 @@ __all__ = [
     "Proposal",
     "bayes_predictive_matrix",
     "dirichlet_multinomial_log_marginal",
-    "ensemble_mean_size",
     "log_marginal_likelihood",
     "log_prior",
     "propose_move",
@@ -550,12 +549,3 @@ def bayes_predictive_matrix(
     sample counts once, so a tree kept over several steps weighs more.
     """
     return ensemble_posterior_matrix([s.tree for s in ens.samples], features, mode, alpha)
-
-
-def ensemble_mean_size(ens: PosteriorEnsemble) -> tuple[float, float]:
-    """Sample mean and sample standard deviation of the leaf counts."""
-    if ens.n < 1:
-        raise ValueError("posterior ensemble is empty")
-    sizes = np.array([tree_size(sample.tree) for sample in ens.samples], dtype=np.float64)
-    std = float(sizes.std(ddof=1)) if sizes.size > 1 else 0.0
-    return float(sizes.mean()), std

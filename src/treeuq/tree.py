@@ -24,10 +24,8 @@ __all__ = [
     "enumerate_splits",
     "grow_randomized",
     "information_gain",
-    "leaf_posterior",
     "leaf_posterior_matrix",
     "parse_tree",
-    "predict",
     "serialize_tree",
     "top_k_splits",
     "tree_size",
@@ -201,29 +199,12 @@ def top_k_splits(
     return ranked[:k]
 
 
-def leaf_posterior(counts) -> np.ndarray:
-    """Laplace-smoothed class probabilities (n_c + 1) / (n + C)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    return (counts + 1.0) / (counts.sum() + counts.shape[-1])
-
-
-def _route(node: TreeNode, x: np.ndarray) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
-
-
-def predict(tree: DecisionTree, x) -> np.ndarray:
-    """Class posterior at x: the reached leaf's smoothed count distribution."""
-    leaf = _route(tree.root, np.asarray(x, dtype=np.float64))
-    return leaf_posterior(leaf.counts)
-
-
 def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     """Smoothed leaf posteriors for every row of a feature matrix, (n, C).
 
-    ``alpha`` is the symmetric Dirichlet smoothing count; alpha=1 matches
-    ``leaf_posterior``.
+    Each row gets the class probabilities (n_c + alpha) / (n + C * alpha) of
+    the leaf it reaches; ``alpha`` is the symmetric Dirichlet smoothing count,
+    and alpha=1 is Laplace smoothing.
     """
     features = np.asarray(features, dtype=np.float64)
     out = np.empty((features.shape[0], tree.num_classes))

@@ -255,8 +255,8 @@ class TestEstimateBayesError:
         spec = make_benchmark_mixture()
         train = sample_mixture(spec, 250, 41)
         test = sample_mixture(spec, 2000, 42)
-        ens = train_ensemble(train, EnsembleConfig(n_trees=50, min_leaf=5, seed=1))
-        post = ensemble_posterior_matrix(ens.trees, test.features, mode="vote")
+        trees = train_ensemble(train, EnsembleConfig(n_trees=50, min_leaf=5, seed=1))
+        post = ensemble_posterior_matrix(trees, test.features, mode="vote")
         classifier_err = float(np.mean(np.argmax(post, axis=1) != test.labels))
         bayes = estimate_bayes_error(spec, 10**5, 43)
         sigma_c = math.sqrt(classifier_err * (1 - classifier_err) / test.n)

@@ -7,7 +7,6 @@ from treeuq import (
     Dataset,
     DecisionTree,
     EnsembleConfig,
-    RandomizedEnsemble,
     TreeNode,
     best_single_tree,
     ensemble_posterior_matrix,
@@ -25,10 +24,6 @@ def stump(class_index: int, total: int = 10, num_classes: int = 2) -> DecisionTr
     counts = np.zeros(num_classes, dtype=np.int64)
     counts[class_index] = total
     return DecisionTree(TreeNode(counts), num_classes=num_classes)
-
-
-def manual_ensemble(trees) -> RandomizedEnsemble:
-    return RandomizedEnsemble(trees=tuple(trees), config=EnsembleConfig(n_trees=len(trees)))
 
 
 def point_posterior(trees, x, mode, alpha=1.0):
@@ -53,12 +48,10 @@ class TestEnsemblePosterior:
 
     def test_identical_trees_agree_with_single_tree(self):
         data = sample_mixture(make_benchmark_mixture(), 100, 3)
-        ens = train_ensemble(data, EnsembleConfig(n_trees=5, min_leaf=5, seed=1))
-        clones = [ens.trees[0]] * 7
+        trees = train_ensemble(data, EnsembleConfig(n_trees=5, min_leaf=5, seed=1))
+        clones = [trees[0]] * 7
         x = data.features[0]
-        from treeuq import predict
-
-        single = int(np.argmax(predict(ens.trees[0], x)))
+        single = int(np.argmax(leaf_posterior_matrix(trees[0], [x])[0]))
         assert int(np.argmax(point_posterior(clones, x, mode="vote"))) == single
         assert int(np.argmax(point_posterior(clones, x, mode="average"))) == single
 
@@ -66,7 +59,7 @@ class TestEnsemblePosterior:
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_distinct_trees_match_a_plain_loop_bit_for_bit(self, mode, alpha):
         data = sample_mixture(make_benchmark_mixture(), 120, 4)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=12, min_leaf=5, seed=3)).trees
+        trees = train_ensemble(data, EnsembleConfig(n_trees=12, min_leaf=5, seed=3))
         rows = np.arange(data.n)
         expected = np.zeros((data.n, 2))
         for tree in trees:
@@ -82,7 +75,7 @@ class TestEnsemblePosterior:
     @pytest.mark.parametrize("mode", ["vote", "average"])
     def test_repeated_tree_objects_weigh_like_distinct_copies(self, mode):
         data = sample_mixture(make_benchmark_mixture(), 120, 6)
-        a, b, c = train_ensemble(data, EnsembleConfig(n_trees=3, min_leaf=5, seed=8)).trees
+        a, b, c = train_ensemble(data, EnsembleConfig(n_trees=3, min_leaf=5, seed=8))
         repeated = [a, a, b, a, c, c]
         copies = [parse_tree(serialize_tree(t), 2) for t in repeated]
         post = ensemble_posterior_matrix(repeated, data.features, mode=mode)
@@ -92,22 +85,20 @@ class TestEnsemblePosterior:
 
     def test_vote_entries_are_multiples_and_sum_to_one(self):
         data = sample_mixture(make_benchmark_mixture(), 120, 9)
-        ens = train_ensemble(data, EnsembleConfig(n_trees=40, min_leaf=5, seed=2))
-        post = ensemble_posterior_matrix(ens.trees, data.features[:25], mode="vote")
+        trees = train_ensemble(data, EnsembleConfig(n_trees=40, min_leaf=5, seed=2))
+        post = ensemble_posterior_matrix(trees, data.features[:25], mode="vote")
         scaled = post * 40
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
         assert np.allclose(post.sum(axis=1), 1.0, atol=1e-12)
 
     def test_duplicating_a_tree_moves_vote_toward_its_class(self):
         data = sample_mixture(make_benchmark_mixture(), 100, 11)
-        ens = train_ensemble(data, EnsembleConfig(n_trees=9, min_leaf=5, seed=5))
-        from treeuq import predict
-
+        trees = train_ensemble(data, EnsembleConfig(n_trees=9, min_leaf=5, seed=5))
         x = data.features[3]
-        for dup in range(len(ens.trees)):
-            bigger = list(ens.trees) + [ens.trees[dup]]
-            winner = int(np.argmax(predict(ens.trees[dup], x)))
-            before = point_posterior(ens.trees, x, mode="vote")[winner]
+        for dup in range(len(trees)):
+            bigger = list(trees) + [trees[dup]]
+            winner = int(np.argmax(leaf_posterior_matrix(trees[dup], [x])[0]))
+            before = point_posterior(trees, x, mode="vote")[winner]
             after = point_posterior(bigger, x, mode="vote")[winner]
             assert after >= before - 1e-12
 
@@ -123,30 +114,29 @@ class TestEnsemblePosterior:
 class TestTrainEnsemble:
     def test_small_train_uses_min_leaf_5(self):
         data = sample_mixture(make_benchmark_mixture(), 200, 1)
-        ens = train_ensemble(data, EnsembleConfig(n_trees=3, seed=0))
-        assert ens.config.min_leaf == 5
-        assert len(ens.trees) == 3
+        trees = train_ensemble(data, EnsembleConfig(n_trees=3, seed=0))
+        assert [t.min_leaf for t in trees] == [5, 5, 5]
 
     def test_large_train_uses_min_leaf_30(self):
         data = sample_mixture(make_benchmark_mixture(), 455, 1)
-        ens = train_ensemble(data, EnsembleConfig(n_trees=2, seed=0))
-        assert ens.config.min_leaf == 30
+        trees = train_ensemble(data, EnsembleConfig(n_trees=2, seed=0))
+        assert [t.min_leaf for t in trees] == [30, 30]
 
     def test_explicit_min_leaf_wins(self):
         data = sample_mixture(make_benchmark_mixture(), 400, 1)
-        ens = train_ensemble(data, EnsembleConfig(n_trees=2, min_leaf=7, seed=0))
-        assert ens.config.min_leaf == 7
+        trees = train_ensemble(data, EnsembleConfig(n_trees=2, min_leaf=7, seed=0))
+        assert [t.min_leaf for t in trees] == [7, 7]
 
     def test_same_seed_identical_ensemble(self):
         data = sample_mixture(make_benchmark_mixture(), 150, 2)
         a = train_ensemble(data, EnsembleConfig(n_trees=6, min_leaf=5, seed=21))
         b = train_ensemble(data, EnsembleConfig(n_trees=6, min_leaf=5, seed=21))
-        assert [serialize_tree(t) for t in a.trees] == [serialize_tree(t) for t in b.trees]
+        assert [serialize_tree(t) for t in a] == [serialize_tree(t) for t in b]
 
     def test_trees_differ_across_the_ensemble(self):
         data = sample_mixture(make_benchmark_mixture(), 150, 2)
-        ens = train_ensemble(data, EnsembleConfig(n_trees=8, min_leaf=5, seed=3))
-        assert len({serialize_tree(t) for t in ens.trees}) > 1
+        trees = train_ensemble(data, EnsembleConfig(n_trees=8, min_leaf=5, seed=3))
+        assert len({serialize_tree(t) for t in trees}) > 1
 
 
 class TestBestSingleTree:
@@ -159,13 +149,11 @@ class TestBestSingleTree:
             TreeNode([1, 1], feature=0, threshold=0.5, left=TreeNode([1, 0]), right=TreeNode([0, 1])),
             num_classes=2,
         )
-        ens = manual_ensemble([stump(0), good, stump(0)])
-        index, accuracy = best_single_tree(ens, self._validation())
+        index, accuracy = best_single_tree((stump(0), good, stump(0)), self._validation())
         assert (index, accuracy) == (1, 1.0)
 
     def test_tie_breaks_to_lowest_index(self):
-        ens = manual_ensemble([stump(0), stump(0), stump(0)])
-        index, accuracy = best_single_tree(ens, self._validation())
+        index, accuracy = best_single_tree((stump(0),) * 3, self._validation())
         assert index == 0
         assert accuracy == pytest.approx(0.5)
 
@@ -174,11 +162,10 @@ class TestEnsembleSizeStability:
         spec = make_benchmark_mixture()
         train = sample_mixture(spec, 250, 51)
         test = sample_mixture(spec, 500, 52)
-        ens = train_ensemble(train, EnsembleConfig(n_trees=200, min_leaf=5, seed=6))
-        small = manual_ensemble(ens.trees[:10])
+        trees = train_ensemble(train, EnsembleConfig(n_trees=200, min_leaf=5, seed=6))
 
         def accuracy(e):
-            post = ensemble_posterior_matrix(e.trees, test.features, mode="vote")
+            post = ensemble_posterior_matrix(e, test.features, mode="vote")
             return float(np.mean(np.argmax(post, axis=1) == test.labels))
 
-        assert accuracy(ens) >= accuracy(small) - 0.01
+        assert accuracy(trees) >= accuracy(trees[:10]) - 0.01

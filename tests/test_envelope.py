@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeuq import (
-    EnvelopeOutcome,
-    classify_outcome,
-    cross_fold_summary,
-    envelope_rates,
-    p_min,
-)
+from treeuq import cross_fold_summary, envelope_rates, p_min
 
-CC = EnvelopeOutcome.CONFIDENTLY_CORRECT
-CI = EnvelopeOutcome.CONFIDENTLY_INCORRECT
-UN = EnvelopeOutcome.UNCERTAIN
+# (rate_correct, rate_uncertain, rate_incorrect) of a one-row test set
+CC = (1.0, 0.0, 0.0)
+UN = (0.0, 1.0, 0.0)
+CI = (0.0, 0.0, 1.0)
+
+
+def outcome(posterior, label, p0):
+    """The outcome of one prediction, as the rates of a one-row test set."""
+    summary = envelope_rates([posterior], [label], p0)
+    return summary.rate_correct, summary.rate_uncertain, summary.rate_incorrect
 
 
 class TestPMin:
@@ -29,29 +30,36 @@ class TestPMin:
 
 
 class TestClassifyOutcome:
+    """The outcome of a single prediction, through envelope_rates on one row."""
+
     def test_confident_and_correct(self):
-        assert classify_outcome([0.998, 0.002], 0, 0.99) is CC
+        assert outcome([0.998, 0.002], 0, 0.99) == CC
 
     def test_confident_and_wrong(self):
-        assert classify_outcome([0.998, 0.002], 1, 0.99) is CI
+        assert outcome([0.998, 0.002], 1, 0.99) == CI
 
     def test_below_threshold_is_uncertain(self):
-        assert classify_outcome([0.6, 0.4], 0, 0.99) is UN
+        assert outcome([0.6, 0.4], 0, 0.99) == UN
 
     def test_argmax_tie_goes_to_lower_index(self):
-        assert classify_outcome([0.5, 0.5], 0, 0.51) is UN
-        assert classify_outcome([0.5, 0.25, 0.25], 0, 0.5) is CC
-        assert classify_outcome([0.5, 0.5, 0.0], 1, 0.5) is CI
+        assert outcome([0.5, 0.5], 0, 0.51) == UN
+        assert outcome([0.5, 0.25, 0.25], 0, 0.5) == CC
+        assert outcome([0.5, 0.5, 0.0], 1, 0.5) == CI
 
     def test_invalid_posterior_rejected(self):
-        with pytest.raises(ValueError, match="posterior"):
-            classify_outcome([0.9, 0.2], 0, 0.99)
+        # a NaN row passes a plain |sum - 1| > tol check, and a negative entry
+        # can sum to 1
+        for posterior in ([0.9, 0.2], [np.nan, np.nan], [1.2, -0.2], [np.inf, -np.inf], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="posterior"):
+                outcome(posterior, 0, 0.99)
+        with pytest.raises(ValueError, match="posterior 1"):
+            envelope_rates([[0.5, 0.5], [np.nan, 1.0]], [0, 1], 0.99)
 
     def test_p0_outside_range_rejected(self):
         with pytest.raises(ValueError, match="p0"):
-            classify_outcome([0.6, 0.4], 0, 0.5)  # p0 must exceed 1/C
+            outcome([0.6, 0.4], 0, 0.5)  # p0 must exceed 1/C
         with pytest.raises(ValueError, match="p0"):
-            classify_outcome([0.6, 0.4], 0, 1.2)
+            outcome([0.6, 0.4], 0, 1.2)
 
 
 class TestEnvelopeRates:
@@ -76,20 +84,20 @@ class TestEnvelopeRates:
             labels.append(0)
         posteriors.append([0.995, 0.005])  # confident incorrect
         labels.append(1)
-        # independent counting oracle
-        outcomes = [classify_outcome(p, y, 0.99) for p, y in zip(posteriors, labels)]
-        expected = (
-            outcomes.count(CC) / len(outcomes),
-            outcomes.count(UN) / len(outcomes),
-            outcomes.count(CI) / len(outcomes),
-        )
-        assert expected == (0.6, 0.3, 0.1)
         summary = envelope_rates(posteriors, labels, 0.99)
-        assert (summary.rate_correct, summary.rate_uncertain, summary.rate_incorrect) == expected
+        assert (summary.rate_correct, summary.rate_uncertain, summary.rate_incorrect) == (0.6, 0.3, 0.1)
+        assert summary.accuracy == 0.9  # the uncertain rows are argmax-correct
+        # each row's own outcome, averaged, gives the same rates
+        rows = np.mean([outcome(p, y, 0.99) for p, y in zip(posteriors, labels)], axis=0)
+        assert tuple(rows) == (0.6, 0.3, 0.1)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             envelope_rates(np.full((3, 2), 0.5), [0, 1], 0.99)
+        # labels that are not a vector, or name no column of the posteriors
+        for labels in (0, [[0, 1]], [0, 7], [-1, 0]):
+            with pytest.raises(ValueError, match="label"):
+                envelope_rates(np.full((2, 2), 0.5), labels, 0.99)
 
 
 class TestCrossFoldSummary:
@@ -172,8 +180,8 @@ class TestEnvelopeInvariants:
         rng = np.random.default_rng(7)
         posteriors, labels = random_posterior_set(rng, 200, 3)
         for posterior, label in zip(posteriors, labels):
-            outcomes = [classify_outcome(posterior, label, p0) for p0 in (0.4, 0.7, 0.95)]
-            assert all(isinstance(o, EnvelopeOutcome) for o in outcomes)
+            for p0 in (0.4, 0.7, 0.95):
+                assert outcome(posterior, label, p0) in (CC, UN, CI)
 
     def test_everything_uncertain_just_above_top_posterior(self):
         rng = np.random.default_rng(11)
@@ -202,12 +210,12 @@ def test_classify_outcome_invariant_to_non_argmax_permutation(data, num_classes)
     top = int(np.argmax(posterior))
     if np.sum(posterior == posterior[top]) > 1:
         return  # a tied maximum can move under permutation
-    baseline = classify_outcome(posterior, label, p0)
+    baseline = outcome(posterior, label, p0)
 
     rest = [i for i in range(num_classes) if i != top]
     permuted = posterior.copy()
     permuted[rest] = posterior[list(reversed(rest))]
-    assert classify_outcome(permuted, label, p0) is baseline
+    assert outcome(permuted, label, p0) == baseline
 
 
 @settings(max_examples=200, deadline=None)

@@ -201,38 +201,59 @@ class TestProposeMove:
             assert serialize_tree(fresh) == serialize_tree(proposal.tree)
 
 
+def first_proposal(tree, data, probs, kind, seeds, wanted=lambda p: True):
+    """The first feasible proposal of the given kind, over the seeds, that is wanted."""
+    for seed in seeds:
+        p = propose_move(tree, data, probs, np.random.SeedSequence(seed))
+        if p.feasible and p.kind == kind and wanted(p):
+            return p
+    return None
+
+
 class TestDetailedBalancePairing:
-    def test_birth_then_exact_reverse_death_cancels(self):
-        data = continuous_dataset(0)
-        probs = (0.5, 0.5, 0.0, 0.0)
+    @pytest.mark.parametrize(
+        "kind, reverse_kind",
+        [
+            ("birth", "death"),
+            ("death", "birth"),
+            ("change_variable", "change_variable"),
+            ("change_rule", "change_rule"),
+        ],
+    )
+    def test_move_then_exact_reverse_cancels(self, kind, reverse_kind):
+        base = continuous_dataset(0)
+        features = base.features.copy()
+        # tied values give the two features menus of different sizes, so a
+        # change_variable ratio is not always 0
+        features[:, 1] = np.round(features[:, 1] * 2.0) / 2.0
+        data = Dataset(features, base.labels, 2, base.feature_names)
+        probs = (0.3, 0.2, 0.15, 0.35)  # birth != death, so a swapped term shows
         k_max = 12
-        checked = 0
+
+        def in_support_and_sharp(p):
+            # only a threshold-only change keeps the menu, so its ratio is always 0
+            sharp = kind == "change_rule" or p.log_ratio != 0.0
+            return sharp and serialize_tree(p.tree) != start and log_prior(p.tree, k_max, data) > -math.inf
+
         for start_seed in range(3):
             tree = sample_prior_tree(data, 6, 99 + start_seed)
-            birth = None
-            for i in range(500):
-                p = propose_move(tree, data, probs, np.random.SeedSequence((13, start_seed, i)))
-                if p.feasible and p.kind == "birth":
-                    birth = p
-                    break
-            assert birth is not None
-            target = serialize_tree(tree)
-            reverse = None
-            for i in range(3000):
-                p = propose_move(birth.tree, data, probs, np.random.SeedSequence((17, start_seed, i)))
-                if p.feasible and p.kind == "death" and serialize_tree(p.tree) == target:
-                    reverse = p
-                    break
+            start = serialize_tree(tree)
+            forward = first_proposal(
+                tree, data, probs, kind, ((13, start_seed, i) for i in range(2000)), in_support_and_sharp
+            )
+            assert forward is not None
+            reverse = first_proposal(
+                forward.tree, data, probs, reverse_kind, ((17, start_seed, i) for i in range(20000)),
+                lambda p: serialize_tree(p.tree) == start,
+            )
             assert reverse is not None
             ll1 = log_marginal_likelihood(tree, data, 1.0)
             lp1 = log_prior(tree, k_max, data)
-            ll2 = log_marginal_likelihood(birth.tree, data, 1.0)
-            lp2 = log_prior(birth.tree, k_max, data)
-            forward = (ll2 - ll1) + (lp2 - lp1) + birth.log_ratio
-            backward = (ll1 - ll2) + (lp1 - lp2) + reverse.log_ratio
-            assert forward + backward == pytest.approx(0.0, abs=1e-9)
-            checked += 1
-        assert checked == 3
+            ll2 = log_marginal_likelihood(forward.tree, data, 1.0)
+            lp2 = log_prior(forward.tree, k_max, data)
+            log_accept_forward = (ll2 - ll1) + (lp2 - lp1) + forward.log_ratio
+            log_accept_backward = (ll1 - ll2) + (lp1 - lp2) + reverse.log_ratio
+            assert log_accept_forward + log_accept_backward == pytest.approx(0.0, abs=1e-9)
 
 
 class TestRunChain:
@@ -363,9 +384,7 @@ class TestEnsembleMeanSize:
                 node = TreeNode([1, 1], feature=0, threshold=0.0, left=TreeNode([1, 1]), right=node)
             return DecisionTree(node, 2)
 
-        return PosteriorEnsemble(
-            samples=tuple(ChainSample(tree_of(k), 0, i + 1) for i, k in enumerate(sizes))
-        )
+        return [tree_of(k) for k in sizes]
 
     def test_constant_sizes(self):
         assert ensemble_mean_size(self._sized([5, 5, 5])) == (5.0, 0.0)

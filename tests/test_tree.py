@@ -13,11 +13,9 @@ from treeuq import (
     enumerate_splits,
     grow_randomized,
     information_gain,
-    leaf_posterior,
     leaf_posterior_matrix,
     make_benchmark_mixture,
     parse_tree,
-    predict,
     sample_mixture,
     serialize_tree,
     top_k_splits,
@@ -284,21 +282,31 @@ class TestTopKSplits:
             top_k_splits([], 0)
 
 
+def point_posterior(tree, x):
+    """The posterior of one point, through the matrix scorer."""
+    return leaf_posterior_matrix(tree, [x])[0]
+
+
 class TestLeafPosterior:
+    """Laplace smoothing (n_c + 1) / (n + C) of a single-leaf tree."""
+
+    def leaf(self, counts):
+        return point_posterior(DecisionTree(TreeNode(counts), num_classes=len(counts)), [0.0])
+
     def test_laplace_smoothing(self):
-        assert leaf_posterior([3, 1]) == pytest.approx([4 / 6, 2 / 6])
+        assert self.leaf([3, 1]) == pytest.approx([4 / 6, 2 / 6])
 
     def test_empty_leaf_uniform(self):
-        assert leaf_posterior([0, 0]) == pytest.approx([0.5, 0.5])
+        assert self.leaf([0, 0]) == pytest.approx([0.5, 0.5])
 
     def test_balanced_counts_uniform(self):
-        assert leaf_posterior([5, 5]) == pytest.approx([0.5, 0.5])
+        assert self.leaf([5, 5]) == pytest.approx([0.5, 0.5])
 
 
 class TestPredict:
     def test_single_leaf_tree(self):
         tree = DecisionTree(TreeNode([9, 1]), num_classes=2)
-        assert predict(tree, [0.0]) == pytest.approx([10 / 12, 2 / 12])
+        assert point_posterior(tree, [0.0]) == pytest.approx([10 / 12, 2 / 12])
 
     def test_depth_one_routing(self):
         tree = DecisionTree(
@@ -311,22 +319,26 @@ class TestPredict:
             ),
             num_classes=2,
         )
-        assert predict(tree, [0.4, 9.9])[0] == pytest.approx(6 / 7)
-        assert predict(tree, [0.6, -9.9])[1] == pytest.approx(6 / 7)
+        assert point_posterior(tree, [0.4, 9.9])[0] == pytest.approx(6 / 7)
+        assert point_posterior(tree, [0.6, -9.9])[1] == pytest.approx(6 / 7)
 
     def test_boundary_goes_left(self):
         tree = DecisionTree(
             TreeNode([5, 5], feature=0, threshold=0.5, left=TreeNode([5, 0]), right=TreeNode([0, 5])),
             num_classes=2,
         )
-        assert predict(tree, [0.5])[0] == pytest.approx(6 / 7)
+        assert point_posterior(tree, [0.5])[0] == pytest.approx(6 / 7)
 
     def test_matrix_agrees_with_pointwise(self):
+        # a grown tree records the training rows of every leaf, so each
+        # training row must get the smoothed counts of the leaf that holds it
         data = sample_mixture(make_benchmark_mixture(), 80, 2)
         tree = grow_randomized(data, min_leaf=3, seed=4)
-        matrix = leaf_posterior_matrix(tree, data.features)
-        for i in range(data.n):
-            assert matrix[i] == pytest.approx(predict(tree, data.features[i]))
+        expected = np.full((data.n, 2), np.nan)
+        for leaf in walk(tree.root)[0]:
+            expected[leaf.indices] = (leaf.counts + 1.0) / (leaf.counts.sum() + 2.0)
+        assert not np.isnan(expected).any()
+        assert np.allclose(leaf_posterior_matrix(tree, data.features), expected, rtol=0, atol=1e-15)
 
 
 class TestGrowRandomized:
@@ -399,8 +411,8 @@ class TestSerialization:
         text = serialize_tree(tree)
         back = parse_tree(text, num_classes=2, min_leaf=tree.min_leaf)
         assert serialize_tree(back) == text
-        for x in data.features[:10]:
-            assert predict(back, x) == pytest.approx(predict(tree, x))
+        rows = data.features[:10]
+        assert leaf_posterior_matrix(back, rows) == pytest.approx(leaf_posterior_matrix(tree, rows))
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
