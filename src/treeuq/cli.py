@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 
 from .data import make_benchmark_mixture, sample_mixture, write_csv
 from .experiment import (
+    PRESETS,
     ExperimentConfig,
     apply_preset,
     emit_report,
@@ -30,7 +32,7 @@ def _fail(message: str) -> None:
 
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="INI config file.")
-@click.option("--preset", type=click.Choice(["desk", "paper"]), default=None,
+@click.option("--preset", type=click.Choice(list(PRESETS)), default=None,
               help="Scale run sizes: desk for quick runs, paper for the full protocol.")
 @click.option("--seed", type=int, default=None, help="Override the master seed.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default="csv")
@@ -44,8 +46,6 @@ def run(config_path, preset, seed, fmt, out_path, trace_path, print_config) -> N
         if preset:
             config = apply_preset(config, preset)
         if seed is not None:
-            from dataclasses import replace
-
             config = replace(config, seed=seed)
         if print_config:
             click.echo(render_config(config), nl=False)

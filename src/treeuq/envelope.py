@@ -58,7 +58,9 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
     lower index); the outcome is confident when its probability reaches p0.
     """
     posteriors = np.asarray(posteriors, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    given = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a NaN label casts to an arbitrary integer
+        labels = given.astype(np.int64)
     if labels.ndim != 1:
         raise ValueError(f"labels must be a vector, got shape {labels.shape}")
     if posteriors.ndim != 2 or posteriors.shape[0] != labels.shape[0]:
@@ -78,6 +80,10 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
     num_classes = posteriors.shape[1]
     if not p_min(num_classes) < p0 <= 1.0:
         raise ValueError(f"p0 must lie in (1/{num_classes}, 1], got {p0}")
+    fractional = labels != given
+    if fractional.any():
+        bad = int(np.argmax(fractional))
+        raise ValueError(f"label {bad} is {given[bad]}, not a whole number")
     outside = (labels < 0) | (labels >= num_classes)
     if outside.any():
         bad = int(np.argmax(outside))

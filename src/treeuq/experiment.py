@@ -89,10 +89,73 @@ class ExperimentConfig:
             raise ExperimentError(f"p0 must lie in (0, 1], got {self.p0}")
 
 
+def _label_column(raw: str) -> str | int:
+    """A column index when the value is a whole number, else a column name."""
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
+
+
+# INI key -> (section, config field, parser). [experiment] keys set fields of
+# ExperimentConfig, [randomized] and [mcmc] keys fields of the sub-config of
+# that name; (field, i) is entry i of a tuple field. Defaults live only on the
+# config dataclasses, and render_config writes the keys in this order.
+_KEYS = {
+    "dataset": ("experiment", "dataset", str),
+    "csv_path": ("experiment", "csv_path", str),
+    "label_column": ("experiment", "label_column", _label_column),
+    "train_count": ("experiment", "train_count", int),
+    "test_count": ("experiment", "test_count", int),
+    "technique": ("experiment", "technique", str),
+    "folds": ("experiment", "folds", int),
+    "p0": ("experiment", "p0", float),
+    "envelope_mode": ("experiment", "envelope_mode", str),
+    "seed": ("experiment", "seed", int),
+    "n_trees": ("randomized", "n_trees", int),
+    "min_leaf": ("randomized", "min_leaf", int),
+    "top_k": ("randomized", "top_k", int),
+    "restarts": ("mcmc", "restarts", int),
+    "burn_in": ("mcmc", "burn_in", int),
+    "post_burn_in": ("mcmc", "post_burn_in", int),
+    "birth": ("mcmc", ("move_probs", 0), float),
+    "death": ("mcmc", ("move_probs", 1), float),
+    "change_variable": ("mcmc", ("move_probs", 2), float),
+    "change_rule": ("mcmc", ("move_probs", 3), float),
+    "max_leaves": ("mcmc", "max_leaves", int),
+    "thinning": ("mcmc", "thinning", int),
+    "alpha": ("mcmc", "dirichlet_alpha", float),
+}
+
+# preset name -> {INI key: value}
 PRESETS = {
     "desk": {"restarts": 10, "burn_in": 500, "post_burn_in": 500, "n_trees": 50},
     "paper": {"restarts": 50, "burn_in": 2000, "post_burn_in": 2000, "n_trees": 200},
 }
+
+
+def _get(config: ExperimentConfig, key: str):
+    section, field, _ = _KEYS[key]
+    name, index = field if isinstance(field, tuple) else (field, None)
+    value = getattr(config if section == "experiment" else getattr(config, section), name)
+    return value if index is None else value[index]
+
+
+def _with_values(config: ExperimentConfig, values: dict[str, object]) -> ExperimentConfig:
+    """config with each INI key of values set to its value."""
+    fields: dict[str, dict[str, object]] = {section: {} for section, _, _ in _KEYS.values()}
+    for key, (section, field, _) in _KEYS.items():
+        value = values[key] if key in values else _get(config, key)
+        if isinstance(field, tuple):  # a tuple's entries come in index order
+            fields[section][field[0]] = fields[section].get(field[0], ()) + (value,)
+        else:
+            fields[section][field] = value
+    return replace(
+        config,
+        **fields["experiment"],
+        randomized=replace(config.randomized, **fields["randomized"]),
+        mcmc=replace(config.mcmc, **fields["mcmc"]),
+    )
 
 
 def apply_preset(config: ExperimentConfig, preset: str) -> ExperimentConfig:
@@ -101,76 +164,39 @@ def apply_preset(config: ExperimentConfig, preset: str) -> ExperimentConfig:
         values = PRESETS[preset]
     except KeyError:
         raise ExperimentError(f"unknown preset {preset!r}; known: {', '.join(sorted(PRESETS))}") from None
-    return replace(
-        config,
-        randomized=replace(config.randomized, n_trees=values["n_trees"]),
-        mcmc=replace(
-            config.mcmc,
-            restarts=values["restarts"],
-            burn_in=values["burn_in"],
-            post_burn_in=values["post_burn_in"],
-        ),
-    )
+    return _with_values(config, values)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the INI config format; missing keys take their defaults."""
+    """Parse the INI config format; a missing or blank key keeps its default.
+
+    An unknown section or key is an error, so a misspelt key cannot leave its
+    default in force without a word.
+    """
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ExperimentError(f"bad config: {exc}") from None
-
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key).strip()
-        if raw == "":
-            return default
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ExperimentError(f"bad config value [{section}] {key} = {raw!r}") from None
-
-    label_raw = get("experiment", "label_column", str, "class")
+    if parser.defaults():  # configparser would copy these keys into every section
+        raise ExperimentError(f"unknown config section [{parser.default_section}]")
+    values = {}
+    for section in parser.sections():
+        known = [key for key, (where, _, _) in _KEYS.items() if where == section]
+        if not known:
+            raise ExperimentError(f"unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in known:
+                raise ExperimentError(f"unknown config key [{section}] {key}; known: {', '.join(known)}")
+            raw = raw.strip()
+            if raw == "":
+                continue
+            try:
+                values[key] = _KEYS[key][2](raw)
+            except ValueError:
+                raise ExperimentError(f"bad config value [{section}] {key} = {raw!r}") from None
     try:
-        label: str | int = int(label_raw)
-    except (ValueError, TypeError):
-        label = label_raw
-
-    move_probs = (
-        get("mcmc", "birth", float, 0.1),
-        get("mcmc", "death", float, 0.1),
-        get("mcmc", "change_variable", float, 0.1),
-        get("mcmc", "change_rule", float, 0.7),
-    )
-    try:
-        return ExperimentConfig(
-            dataset=get("experiment", "dataset", str, "synthetic"),
-            csv_path=get("experiment", "csv_path", str, None),
-            label_column=label,
-            train_count=get("experiment", "train_count", int, 250),
-            test_count=get("experiment", "test_count", int, 1000),
-            technique=get("experiment", "technique", str, "both"),
-            folds=get("experiment", "folds", int, 5),
-            p0=get("experiment", "p0", float, 0.99),
-            envelope_mode=get("experiment", "envelope_mode", str, "vote"),
-            seed=get("experiment", "seed", int, 1),
-            randomized=EnsembleConfig(
-                n_trees=get("randomized", "n_trees", int, 200),
-                min_leaf=get("randomized", "min_leaf", int, None),
-                top_k=get("randomized", "top_k", int, 20),
-            ),
-            mcmc=McmcConfig(
-                restarts=get("mcmc", "restarts", int, 50),
-                burn_in=get("mcmc", "burn_in", int, 2000),
-                post_burn_in=get("mcmc", "post_burn_in", int, 2000),
-                move_probs=move_probs,
-                max_leaves=get("mcmc", "max_leaves", int, 50),
-                thinning=get("mcmc", "thinning", int, 1),
-                dirichlet_alpha=get("mcmc", "alpha", float, 1.0),
-            ),
-        )
+        return _with_values(ExperimentConfig(), values)
     except ValueError as exc:
         raise ExperimentError(str(exc)) from None
 
@@ -181,37 +207,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def render_config(config: ExperimentConfig) -> str:
-    """The config as INI text with every value resolved."""
+    """The config as INI text with every value resolved; None renders blank."""
     parser = configparser.ConfigParser()
-    parser["experiment"] = {
-        "dataset": config.dataset,
-        "csv_path": config.csv_path or "",
-        "label_column": str(config.label_column),
-        "train_count": str(config.train_count),
-        "test_count": str(config.test_count),
-        "technique": config.technique,
-        "folds": str(config.folds),
-        "p0": repr(config.p0),
-        "envelope_mode": config.envelope_mode,
-        "seed": str(config.seed),
-    }
-    parser["randomized"] = {
-        "n_trees": str(config.randomized.n_trees),
-        "min_leaf": "" if config.randomized.min_leaf is None else str(config.randomized.min_leaf),
-        "top_k": str(config.randomized.top_k),
-    }
-    parser["mcmc"] = {
-        "restarts": str(config.mcmc.restarts),
-        "burn_in": str(config.mcmc.burn_in),
-        "post_burn_in": str(config.mcmc.post_burn_in),
-        "birth": repr(config.mcmc.move_probs[0]),
-        "death": repr(config.mcmc.move_probs[1]),
-        "change_variable": repr(config.mcmc.move_probs[2]),
-        "change_rule": repr(config.mcmc.move_probs[3]),
-        "max_leaves": str(config.mcmc.max_leaves),
-        "thinning": str(config.mcmc.thinning),
-        "alpha": repr(config.mcmc.dirichlet_alpha),
-    }
+    for key, (section, _, _) in _KEYS.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        value = _get(config, key)
+        parser.set(section, key, "" if value is None else str(value))
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -220,17 +222,12 @@ def render_config(config: ExperimentConfig) -> str:
 @dataclass(frozen=True)
 class FoldResult:
     fold_index: int
-    ensemble_accuracy: float
-    best_tree_index: int
-    best_tree_validation_accuracy: float
     best_tree_test_accuracy: float
     envelope: EnvelopeSummary
-    mean_tree_size: float
 
 
 @dataclass(frozen=True)
 class RandomizedResult:
-    accuracy: float
     accuracy_2sigma: float
     best_single_accuracy: float
     best_single_2sigma: float
@@ -242,7 +239,6 @@ class RandomizedResult:
 
 @dataclass(frozen=True)
 class BayesianResult:
-    accuracy: float
     size_mean: float
     size_std: float
     envelope: EnvelopeSummary
@@ -252,7 +248,6 @@ class BayesianResult:
 @dataclass(frozen=True)
 class ExperimentReport:
     dataset_name: str
-    config_echo: str
     randomized: RandomizedResult | None
     bayesian: BayesianResult | None
     runtime_seconds: dict[str, float]
@@ -278,10 +273,6 @@ def _load_experiment_data(config: ExperimentConfig) -> tuple[str, Dataset, Datas
     return name, train, test
 
 
-def _accuracy(posteriors: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(np.argmax(posteriors, axis=1) == labels))
-
-
 def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> RandomizedResult:
     folds = kfold_split(train.n, config.folds, np.random.SeedSequence((config.seed, 2)))
     fold_results: list[FoldResult] = []
@@ -293,26 +284,21 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
         validation = train.subset(folds.test_indices(f))
 
         posteriors = ensemble_posterior_matrix(trees, test.features, mode=config.envelope_mode)
-        best_idx, best_val_acc = best_single_tree(trees, validation)
-        best_tree_posteriors = leaf_posterior_matrix(trees[best_idx], test.features)
+        best_idx, _ = best_single_tree(trees, validation)
+        best_tree_predicted = np.argmax(leaf_posterior_matrix(trees[best_idx], test.features), axis=1)
         all_trees.extend(trees)
         fold_results.append(
             FoldResult(
                 fold_index=f,
-                ensemble_accuracy=_accuracy(posteriors, test.labels),
-                best_tree_index=best_idx,
-                best_tree_validation_accuracy=best_val_acc,
-                best_tree_test_accuracy=_accuracy(best_tree_posteriors, test.labels),
+                best_tree_test_accuracy=float(np.mean(best_tree_predicted == test.labels)),
                 envelope=envelope_rates(posteriors, test.labels, config.p0),
-                mean_tree_size=ensemble_mean_size(trees)[0],
             )
         )
 
-    accuracies = np.array([fr.ensemble_accuracy for fr in fold_results])
+    accuracies = np.array([fr.envelope.accuracy for fr in fold_results])
     best_accs = np.array([fr.best_tree_test_accuracy for fr in fold_results])
     size_mean, size_std = ensemble_mean_size(all_trees)
     return RandomizedResult(
-        accuracy=float(accuracies.mean()),
         accuracy_2sigma=float(2.0 * accuracies.std(ddof=1)),
         best_single_accuracy=float(best_accs.mean()),
         best_single_2sigma=float(2.0 * best_accs.std(ddof=1)),
@@ -334,7 +320,6 @@ def _run_bayesian(
     )
     size_mean, size_std = ensemble_mean_size([s.tree for s in ens.samples])
     return BayesianResult(
-        accuracy=_accuracy(posteriors, test.labels),
         size_mean=size_mean,
         size_std=size_std,
         envelope=envelope_rates(posteriors, test.labels, config.p0),
@@ -363,7 +348,6 @@ def run_experiment(config: ExperimentConfig, mcmc_trace_path=None) -> Experiment
         runtime["bayesian"] = time.perf_counter() - start
     return ExperimentReport(
         dataset_name=dataset_name,
-        config_echo=render_config(config),
         randomized=randomized,
         bayesian=bayesian,
         runtime_seconds=runtime,
@@ -386,7 +370,7 @@ def _report_rows(report: ExperimentReport) -> list[dict[str, str]]:
                 "technique": "randomized",
                 "single_dt": _pct(r.best_single_accuracy, r.best_single_2sigma),
                 "size": f"{r.size_mean:.1f}±{r.size_std:.1f}",
-                "performance": _pct(r.accuracy, r.accuracy_2sigma),
+                "performance": _pct(r.envelope.accuracy, r.accuracy_2sigma),
                 "correct": _pct(r.envelope.rate_correct, r.envelope.two_sigma_correct),
                 "uncertain": _pct(r.envelope.rate_uncertain, r.envelope.two_sigma_uncertain),
                 "incorrect": _pct(r.envelope.rate_incorrect, r.envelope.two_sigma_incorrect),
@@ -400,7 +384,7 @@ def _report_rows(report: ExperimentReport) -> list[dict[str, str]]:
                 "technique": "bayesian",
                 "single_dt": "",
                 "size": f"{b.size_mean:.1f}±{b.size_std:.1f}",
-                "performance": _pct(b.accuracy),
+                "performance": _pct(b.envelope.accuracy),
                 "correct": _pct(b.envelope.rate_correct),
                 "uncertain": _pct(b.envelope.rate_uncertain),
                 "incorrect": _pct(b.envelope.rate_incorrect),

@@ -50,10 +50,10 @@ class TreeNode:
     """Node of a binary tree; a leaf iff both children are None.
 
     ``counts`` holds the per-class training counts of the points reaching the
-    node; ``indices`` optionally caches which training rows those are (used by
-    the samplers, not needed for prediction). ``cache`` is a slot the sampler
-    fills with values it derives from the node's own fields; nodes are never
-    mutated after construction, so those values stay exact.
+    node; ``indices`` optionally caches which training rows those are (only the
+    sampler's trees keep them; prediction does not need them). ``cache`` is a
+    slot the sampler fills with values it derives from the node's own fields;
+    nodes are never mutated after construction, so those values stay exact.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "counts", "indices", "cache")
@@ -241,10 +241,10 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
         node_data = data.subset(indices)
         counts = node_data.class_counts()
         if np.count_nonzero(counts) <= 1 or node_data.n < 2 * min_leaf:
-            return TreeNode(counts, indices=indices)
+            return TreeNode(counts)
         candidates = enumerate_splits(node_data, min_leaf)
         if not candidates:
-            return TreeNode(counts, indices=indices)
+            return TreeNode(counts)
         best = top_k_splits(candidates, top_k)
         rule, _ = best[rng.integers(len(best))]
         del candidates  # an ancestor's list is not needed while its subtrees grow
@@ -255,7 +255,6 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
             threshold=rule.threshold,
             left=build(indices[goes_left]),
             right=build(indices[~goes_left]),
-            indices=indices,
         )
 
     root = build(np.arange(data.n))

@@ -49,7 +49,7 @@ class TestCriterion1BayesErrorOracle:
 class TestCriterion2RandomizedAccuracy:
     def test_mean_test_accuracy(self, benchmark_reports):
         report = benchmark_reports[1]
-        accuracy = report.randomized.accuracy
+        accuracy = report.randomized.envelope.accuracy
         elapsed = report.runtime_seconds["randomized"]
         ok = 0.84 <= accuracy <= 0.90 and elapsed < 120.0
         verdict(2, ok, f"5-fold 200-tree mean accuracy = {accuracy:.4f}, target [0.84, 0.90], {elapsed:.0f}s")
@@ -59,7 +59,7 @@ class TestCriterion2RandomizedAccuracy:
 
 class TestCriterion3BayesianAccuracyDesk:
     def test_desk_preset_accuracy(self, desk_report):
-        accuracy = desk_report.bayesian.accuracy
+        accuracy = desk_report.bayesian.envelope.accuracy
         elapsed = desk_report.runtime_seconds["bayesian"]
         ok = 0.82 <= accuracy <= 0.91 and elapsed < 300.0
         verdict(3, ok, f"desk-preset accuracy = {accuracy:.4f}, target [0.82, 0.91], {elapsed:.0f}s")
@@ -311,7 +311,7 @@ class TestCriterion9EnvelopeInvariantSuite:
 class TestCriterion10EnsembleVsSingle:
     def test_ensemble_beats_single_on_most_folds(self, benchmark_reports):
         folds = benchmark_reports[1].randomized.folds
-        wins = sum(f.ensemble_accuracy >= f.best_tree_test_accuracy for f in folds)
+        wins = sum(f.envelope.accuracy >= f.best_tree_test_accuracy for f in folds)
         ok = wins >= 4
         verdict(10, ok, f"ensemble >= best single tree on {wins}/5 folds")
         assert wins >= 4

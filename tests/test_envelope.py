@@ -95,9 +95,13 @@ class TestEnvelopeRates:
         with pytest.raises(ValueError):
             envelope_rates(np.full((3, 2), 0.5), [0, 1], 0.99)
         # labels that are not a vector, or name no column of the posteriors
-        for labels in (0, [[0, 1]], [0, 7], [-1, 0]):
+        for labels in (0, [[0, 1]], [0, 7], [-1, 0], [0, 0.7]):
             with pytest.raises(ValueError, match="label"):
                 envelope_rates(np.full((2, 2), 0.5), labels, 0.99)
+        # whole-number float labels name their class
+        assert envelope_rates(np.full((2, 2), 0.5), [1.0, 0.0], 0.99) == envelope_rates(
+            np.full((2, 2), 0.5), [1, 0], 0.99
+        )
 
 
 class TestCrossFoldSummary:

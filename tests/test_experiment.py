@@ -2,7 +2,9 @@
 
 import csv
 import io
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from treeuq import (
 )
 from treeuq import experiment
 from treeuq.envelope import EnvelopeSummary
-from treeuq.experiment import BayesianResult, ExperimentReport, RandomizedResult
+from treeuq.experiment import PRESETS, BayesianResult, ExperimentReport, RandomizedResult
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -45,9 +47,13 @@ class TestConfig:
     def test_render_parse_round_trip(self):
         config = tiny_config(p0=0.95, envelope_mode="average")
         assert parse_config(render_config(config)) == config
+        for preset in PRESETS:
+            config = apply_preset(ExperimentConfig(), preset)
+            assert parse_config(render_config(config)) == config
 
     def test_defaults_match_protocol(self):
         config = parse_config("")
+        assert config == ExperimentConfig()
         assert config.randomized.n_trees == 200
         assert config.mcmc.restarts == 50
         assert config.mcmc.burn_in == 2000
@@ -56,9 +62,22 @@ class TestConfig:
         assert config.p0 == 0.99
         assert config.folds == 5
 
+    def test_readme_example_is_the_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (example,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        assert parse_config(example) == ExperimentConfig()
+
     def test_bad_value_reported_with_location(self):
         with pytest.raises(ExperimentError, match=r"\[experiment\] folds"):
             parse_config("[experiment]\nfolds = soon\n")
+        # a misspelt key or section must not leave its default in force
+        for text, named in (
+            ("[mcmc]\nrestart = 3\n", r"unknown config key \[mcmc\] restart;"),
+            ("[mcm]\nrestarts = 3\n", r"unknown config section \[mcm\]"),
+            ("[DEFAULT]\nseed = 3\n", r"unknown config section \[DEFAULT\]"),
+        ):
+            with pytest.raises(ExperimentError, match=named):
+                parse_config(text)
 
     def test_single_fold_with_randomized_rejected(self):
         with pytest.raises(ExperimentError, match="folds"):
@@ -89,14 +108,14 @@ class TestRunExperiment:
     def test_desk_scale_report(self, desk_report):
         r, b = desk_report.randomized, desk_report.bayesian
         assert r is not None and b is not None
-        assert 0.80 <= r.accuracy <= 0.92
-        assert 0.80 <= b.accuracy <= 0.92
+        assert 0.80 <= r.envelope.accuracy <= 0.92
+        assert 0.80 <= b.envelope.accuracy <= 0.92
         for env in (r.envelope, b.envelope):
             assert env.rate_correct + env.rate_uncertain + env.rate_incorrect == pytest.approx(1.0)
         assert len(r.folds) == 5
         assert r.size_mean > 0 and b.size_mean > 0
         assert set(desk_report.runtime_seconds) == {"randomized", "bayesian"}
-        assert r.accuracy >= r.best_single_accuracy - 0.02
+        assert r.envelope.accuracy >= r.best_single_accuracy - 0.02
 
     def test_tiny_run_is_deterministic(self):
         config = tiny_config()
@@ -118,7 +137,7 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report.dataset_name == "mix"
         assert report.bayesian is None
-        assert 0.5 <= report.randomized.accuracy <= 1.0
+        assert 0.5 <= report.randomized.envelope.accuracy <= 1.0
 
     def test_csv_counts_must_fit(self, tmp_path):
         data = sample_mixture(make_benchmark_mixture(), 50, 3)
@@ -160,14 +179,12 @@ def _summary(c, u, i, accuracy, widths=None):
 class TestEmitReport:
     def _report(self):
         bayesian = BayesianResult(
-            accuracy=0.8720,
             size_mean=12.4,
             size_std=2.5,
             envelope=_summary(0.6330, 0.3440, 0.0230, 0.8720),
             n_samples=100_000,
         )
         randomized = RandomizedResult(
-            accuracy=0.8712,
             accuracy_2sigma=0.012,
             best_single_accuracy=0.8512,
             best_single_2sigma=0.02,
@@ -178,7 +195,6 @@ class TestEmitReport:
         )
         return ExperimentReport(
             dataset_name="synthetic",
-            config_echo="",
             randomized=randomized,
             bayesian=bayesian,
             runtime_seconds={"randomized": 1.0, "bayesian": 2.0},

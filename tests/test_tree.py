@@ -330,14 +330,23 @@ class TestPredict:
         assert point_posterior(tree, [0.5])[0] == pytest.approx(6 / 7)
 
     def test_matrix_agrees_with_pointwise(self):
-        # a grown tree records the training rows of every leaf, so each
-        # training row must get the smoothed counts of the leaf that holds it
+        # route each training row down the grown tree by hand: every leaf must
+        # hold the class counts of the rows that reach it, and each row must
+        # get the smoothed counts of its leaf
         data = sample_mixture(make_benchmark_mixture(), 80, 2)
         tree = grow_randomized(data, min_leaf=3, seed=4)
-        expected = np.full((data.n, 2), np.nan)
-        for leaf in walk(tree.root)[0]:
-            expected[leaf.indices] = (leaf.counts + 1.0) / (leaf.counts.sum() + 2.0)
-        assert not np.isnan(expected).any()
+        leaves = walk(tree.root)[0]
+        rows_of = {id(leaf): [] for leaf in leaves}
+        for row, x in enumerate(data.features):
+            node = tree.root
+            while not node.is_leaf:
+                node = node.left if x[node.feature] <= node.threshold else node.right
+            rows_of[id(node)].append(row)
+        expected = np.empty((data.n, 2))
+        for leaf in leaves:
+            rows = np.array(rows_of[id(leaf)], dtype=np.int64)
+            assert np.array_equal(leaf.counts, np.bincount(data.labels[rows], minlength=2))
+            expected[rows] = (leaf.counts + 1.0) / (leaf.counts.sum() + 2.0)
         assert np.allclose(leaf_posterior_matrix(tree, data.features), expected, rtol=0, atol=1e-15)
 
 
