@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +91,27 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)
+
+    @cached_property
+    def rank_table(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """Sorted distinct values of each column and each row's rank in them.
+
+        Returns ``(values, ranks, signed_zeros)``: ``values[j]`` is
+        ``np.unique(features[:, j])``, ``ranks`` is an (m, n) matrix with
+        ``values[j][ranks[j, i]] == features[i, j]``, and ``signed_zeros[j]``
+        is True when column j holds both -0.0 and 0.0, of which ``values[j]``
+        keeps only one. Built on first use, so datasets that never reach the
+        sampler never pay for it.
+        """
+        values = []
+        ranks = np.empty((self.m, self.n), dtype=np.intp)
+        for j, column in enumerate(self.features.T):
+            distinct, ranks[j] = np.unique(column, return_inverse=True)
+            values.append(distinct)
+        zeros = self.features == 0.0
+        negative = np.signbit(self.features)
+        signed_zeros = (zeros & negative).any(axis=0) & (zeros & ~negative).any(axis=0)
+        return tuple(values), ranks, signed_zeros
 
 
 @dataclass(frozen=True)

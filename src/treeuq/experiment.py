@@ -173,7 +173,7 @@ def parse_config(text: str) -> ExperimentConfig:
     An unknown section or key is an error, so a misspelt key cannot leave its
     default in force without a word.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -208,7 +208,7 @@ def load_config(path) -> ExperimentConfig:
 
 def render_config(config: ExperimentConfig) -> str:
     """The config as INI text with every value resolved; None renders blank."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for key, (section, _, _) in _KEYS.items():
         if not parser.has_section(section):
             parser.add_section(section)

@@ -24,6 +24,16 @@ node), change_rule (redraw threshold only). The returned log proposal ratio
 makes birth/death a reversible pair: it combines the leaf-vs-prunable-node
 counts with the split-choice probability.
 
+A change move checks the support while it re-routes the rows below the
+changed node: it stops at the first rebuilt node whose threshold is off its
+new menu (a node the move empties always lies below one), and the proposal
+then carries no tree (``tree is None``). Such a proposal is still feasible
+and is rejected like any proposal outside the support. Births and deaths
+cannot empty a leaf or push a threshold off its menu. Menus come from
+``Dataset.rank_table``: a node's rows mark their ranks in a mask, so no
+menu is sorted, and a drawn threshold is the float np.unique of the node's
+values would give, down to the sign of a zero.
+
 Cache invariant: a node's ``cache`` slot holds terms derived from the node's
 own fields and one Dataset, and the Dataset is stored with them. An internal
 node keeps ``(data, menu size, log(m * menu size))`` with ``None`` for the
@@ -95,6 +105,10 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if len(self.move_probs) != len(MOVE_KINDS):
+            raise ValueError(f"need one move probability per kind {MOVE_KINDS}, got {self.move_probs}")
+        if not all(math.isfinite(p) for p in self.move_probs):
+            raise ValueError(f"move probabilities must be finite, got {self.move_probs}")
         if abs(sum(self.move_probs) - 1.0) > 1e-9:
             raise ValueError(f"move probabilities must sum to 1, got {self.move_probs}")
         if min(self.move_probs) < 0:
@@ -105,8 +119,8 @@ class McmcConfig:
             raise ValueError(f"need max_leaves >= 1, got {self.max_leaves}")
         if self.thinning < 1:
             raise ValueError(f"need thinning >= 1, got {self.thinning}")
-        if self.dirichlet_alpha <= 0:
-            raise ValueError(f"need dirichlet_alpha > 0, got {self.dirichlet_alpha}")
+        if not 0 < self.dirichlet_alpha < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"need finite dirichlet_alpha > 0, got {self.dirichlet_alpha}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,12 @@ class PosteriorEnsemble:
 
 @dataclass(frozen=True)
 class Proposal:
-    """A proposed transition; infeasible proposals count as rejected steps."""
+    """A proposed transition; infeasible proposals count as rejected steps.
+
+    ``tree`` is None when the proposal is infeasible, and when a feasible
+    change move left the prior's support (its rebuild stopped there); the
+    caller rejects that like any proposal with a zero prior.
+    """
 
     kind: str
     tree: DecisionTree | None
@@ -165,10 +184,11 @@ def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
 
 
 def refresh_counts(tree: DecisionTree, data: Dataset) -> DecisionTree:
-    """Re-route the training data through the tree, rebuilding counts/indices."""
+    """Re-route the training data through the tree, rebuilding counts/indices.
+
+    Every rebuilt node is cached for data, so the copy is trusted as it is.
+    """
     root = _rebuild_subtree(tree.root, data, np.arange(data.n))
-    if not root.is_leaf:
-        _rule_terms(root, data)  # caches the root for data, so the copy is trusted as it is
     return DecisionTree(root=root, num_classes=data.num_classes, min_leaf=tree.min_leaf)
 
 
@@ -185,10 +205,36 @@ def _leaf(counts, indices: np.ndarray, data: Dataset) -> TreeNode:
     return leaf
 
 
+def _present_ranks(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
+    """Mask over the feature's distinct values: which of them the rows hold."""
+    values, ranks, _ = data.rank_table
+    present = np.zeros(values[feature].size, dtype=bool)
+    present[ranks[feature][indices]] = True
+    return present
+
+
 def _split_menu(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
-    """Thresholds at a node: distinct observed values excluding the maximum."""
-    values = np.unique(data.features[indices, feature])
-    return values[:-1]
+    """Thresholds at a node, as ascending ranks in the feature's distinct values.
+
+    The thresholds are the node's distinct observed values excluding the
+    maximum (a threshold equal to the maximum would route every row left);
+    they come from a rank mask, so nothing is sorted.
+    """
+    return _present_ranks(data, indices, feature).nonzero()[0][:-1]
+
+
+def _menu_value(data: Dataset, indices: np.ndarray, feature: int, menu: np.ndarray, i) -> float:
+    """Threshold i of a node's menu: the float np.unique of the node's values holds.
+
+    The rank table keeps one of -0.0 and 0.0 for a column that holds both,
+    and the node's own values may hold only the other, so a zero drawn from
+    such a column is taken from np.unique.
+    """
+    values, _, signed_zeros = data.rank_table
+    value = values[feature][menu[i]]
+    if value == 0.0 and signed_zeros[feature]:
+        value = np.unique(data.features[indices, feature])[i]
+    return float(value)
 
 
 def _log_catalan(j: int) -> float:
@@ -196,21 +242,25 @@ def _log_catalan(j: int) -> float:
     return math.lgamma(2 * j + 1) - 2.0 * math.lgamma(j + 1) - math.log(j + 1)
 
 
-def _rule_terms(node: TreeNode, data: Dataset) -> tuple[int, float | None]:
-    """Cached (menu size, log(m * menu size)) of an internal node.
+def _rule_cache(data: Dataset, indices: np.ndarray, feature: int, threshold: float) -> tuple:
+    """Cache entry (data, menu size, log(m * menu size)) of a rule at a node.
 
     The log term is None when the threshold is not on the node's own menu.
     """
+    present = _present_ranks(data, indices, feature)
+    held = present.nonzero()[0]
+    menu_size = held.size - 1
+    values = data.rank_table[0][feature]
+    rank = values.searchsorted(threshold)
+    on_menu = menu_size > 0 and rank < held[-1] and present[rank] and values[rank] == threshold
+    return data, menu_size, math.log(data.m * menu_size) if on_menu else None
+
+
+def _rule_terms(node: TreeNode, data: Dataset) -> tuple[int, float | None]:
+    """Cached (menu size, log(m * menu size)) of an internal node."""
     cache = node.cache
     if cache is None or cache[0] is not data:
-        values = np.unique(data.features[node.indices, node.feature])
-        menu_size = values.size - 1
-        term = None
-        if menu_size >= 1:
-            pos = int(np.searchsorted(values, node.threshold))
-            if pos < menu_size and values[pos] == node.threshold:
-                term = math.log(data.m * menu_size)
-        cache = node.cache = (data, menu_size, term)
+        cache = node.cache = _rule_cache(data, node.indices, node.feature, node.threshold)
     return cache[1], cache[2]
 
 
@@ -286,8 +336,11 @@ def _rebuild_subtree(
 ) -> TreeNode:
     """Same structure and rules as node, data re-routed from indices down.
 
-    With keep_unchanged, a subtree whose node already holds exactly these
-    rows is kept as it is, cached terms included.
+    Every rebuilt node is cached for data. With keep_unchanged, a subtree
+    whose node already holds exactly these rows is kept as it is, cached
+    terms included, and the rebuild returns None at the first rebuilt node
+    whose threshold is off its own menu. An on-menu threshold sends rows
+    both ways, so a node that a move empties always lies below such a node.
     """
     if (
         keep_unchanged
@@ -296,18 +349,28 @@ def _rebuild_subtree(
         and np.array_equal(node.indices, indices)
     ):
         return node
-    counts = np.bincount(data.labels[indices], minlength=data.num_classes)
     if node.is_leaf:
-        return _leaf(counts, indices, data)
-    goes_left = data.features[indices, node.feature] <= node.threshold
-    return TreeNode(
-        counts,
+        return _leaf(np.bincount(data.labels[indices], minlength=data.num_classes), indices, data)
+    cache = _rule_cache(data, indices, node.feature, node.threshold)
+    if keep_unchanged and cache[2] is None:
+        return None
+    goes_left = data.features[:, node.feature][indices] <= node.threshold
+    left = _rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged)
+    right = None if left is None else _rebuild_subtree(
+        node.right, data, indices[~goes_left], keep_unchanged
+    )
+    if right is None:
+        return None
+    rebuilt = TreeNode(
+        np.bincount(data.labels[indices], minlength=data.num_classes),
         feature=node.feature,
         threshold=node.threshold,
-        left=_rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged),
-        right=_rebuild_subtree(node.right, data, indices[~goes_left], keep_unchanged),
+        left=left,
+        right=right,
         indices=indices,
     )
+    rebuilt.cache = cache
+    return rebuilt
 
 
 def _grow_leaf(leaves: list[TreeNode], data: Dataset, rng) -> tuple[int, TreeNode | None, int]:
@@ -322,8 +385,8 @@ def _grow_leaf(leaves: list[TreeNode], data: Dataset, rng) -> tuple[int, TreeNod
     menu = _split_menu(data, leaf.indices, feature)
     if menu.size == 0:
         return position, None, 0
-    threshold = float(menu[rng.integers(menu.size)])
-    goes_left = data.features[leaf.indices, feature] <= threshold
+    threshold = _menu_value(data, leaf.indices, feature, menu, rng.integers(menu.size))
+    goes_left = data.features[:, feature][leaf.indices] <= threshold
     left_idx, right_idx = leaf.indices[goes_left], leaf.indices[~goes_left]
     grown = TreeNode(
         leaf.counts,
@@ -348,7 +411,8 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
     proposed); for births and deaths it combines the leaf/prunable-node
     counts with the split-choice probability so the pair is reversible.
     Structurally impossible moves return feasible=False (the caller treats
-    them as rejected steps).
+    them as rejected steps). A change move whose rebuild leaves the prior's
+    support returns feasible=True with no tree and a -inf log_ratio.
     """
     tree = _ensure_cached(tree, data)
     rng = np.random.default_rng(seed)
@@ -419,17 +483,17 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         if old_menu_size < 1:
             return Proposal(kind, None, -math.inf, False)
         log_ratio = math.log(menu.size) - math.log(old_menu_size)
-    new_threshold = float(menu[rng.integers(menu.size)])
-
     indices = node.indices
-    goes_left = data.features[indices, new_feature] <= new_threshold
+    new_threshold = _menu_value(data, indices, new_feature, menu, rng.integers(menu.size))
+    goes_left = data.features[:, new_feature][indices] <= new_threshold
+    left = _rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged=True)
+    right = None if left is None else _rebuild_subtree(
+        node.right, data, indices[~goes_left], keep_unchanged=True
+    )
+    if right is None:  # the rebuild left the prior's support
+        return Proposal(kind, None, -math.inf, True)
     rebuilt = TreeNode(
-        node.counts,
-        feature=new_feature,
-        threshold=new_threshold,
-        left=_rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged=True),
-        right=_rebuild_subtree(node.right, data, indices[~goes_left], keep_unchanged=True),
-        indices=indices,
+        node.counts, feature=new_feature, threshold=new_threshold, left=left, right=right, indices=indices
     )
     rebuilt.cache = (data, menu.size, math.log(data.m * menu.size))
     new_root = _copy_replace(root, node, rebuilt)
@@ -442,7 +506,9 @@ def _transition(tree, log_lik, log_pri, data, config, rng, loglik_fn):
     proposal = propose_move(tree, data, config.move_probs, rng)
     if not proposal.feasible:
         return tree, log_lik, log_pri, False
-    u = rng.random()
+    u = rng.random()  # drawn for every feasible proposal, in the support or not
+    if proposal.tree is None:
+        return tree, log_lik, log_pri, False
     new_pri = _log_prior_cached(proposal.tree, config.max_leaves, data)
     if new_pri == -math.inf:
         return tree, log_lik, log_pri, False

@@ -50,6 +50,10 @@ class TestConfig:
         for preset in PRESETS:
             config = apply_preset(ExperimentConfig(), preset)
             assert parse_config(render_config(config)) == config
+        # values are taken literally: no % interpolation
+        config = tiny_config(dataset="csv", csv_path="data/50%_split.csv")
+        assert parse_config(render_config(config)) == config
+        assert parse_config("[experiment]\ncsv_path = 50%%_%(x)s\n").csv_path == "50%%_%(x)s"
 
     def test_defaults_match_protocol(self):
         config = parse_config("")
@@ -75,6 +79,10 @@ class TestConfig:
             ("[mcmc]\nrestart = 3\n", r"unknown config key \[mcmc\] restart;"),
             ("[mcm]\nrestarts = 3\n", r"unknown config section \[mcm\]"),
             ("[DEFAULT]\nseed = 3\n", r"unknown config section \[DEFAULT\]"),
+            ("[mcmc]\nbirth = nan\n", r"move probabilities must be finite"),
+            ("[mcmc]\nchange_rule = inf\n", r"move probabilities must be finite"),
+            ("[mcmc]\nalpha = nan\n", r"dirichlet_alpha"),
+            ("[mcmc]\nalpha = inf\n", r"dirichlet_alpha"),
         ):
             with pytest.raises(ExperimentError, match=named):
                 parse_config(text)

@@ -195,17 +195,17 @@ class TestProposeMove:
         rng = np.random.default_rng(5)
         for _ in range(200):
             proposal = propose_move(tree, data, (0.25, 0.25, 0.25, 0.25), rng)
-            if not proposal.feasible:
+            if proposal.tree is None:  # infeasible, or it left the support
                 continue
             fresh = refresh_counts(proposal.tree, data)
             assert serialize_tree(fresh) == serialize_tree(proposal.tree)
 
 
 def first_proposal(tree, data, probs, kind, seeds, wanted=lambda p: True):
-    """The first feasible proposal of the given kind, over the seeds, that is wanted."""
+    """The first built proposal of the given kind, over the seeds, that is wanted."""
     for seed in seeds:
         p = propose_move(tree, data, probs, np.random.SeedSequence(seed))
-        if p.feasible and p.kind == kind and wanted(p):
+        if p.tree is not None and p.kind == kind and wanted(p):
             return p
     return None
 
@@ -407,3 +407,14 @@ class TestConfigValidation:
             McmcConfig(thinning=0)
         with pytest.raises(ValueError):
             McmcConfig(dirichlet_alpha=0.0)
+
+    def test_non_finite_or_misshapen_input_rejected(self):
+        # a NaN passes the sum and sign checks, and a NaN birth probability
+        # would make every draw a change_rule
+        nan, inf = math.nan, math.inf
+        for probs in ((nan, 0.1, 0.1, 0.7), (0.1, 0.1, 0.1, nan), (inf, 0.0, 0.0, 0.0), (0.5, 0.5), (0.2,) * 5):
+            with pytest.raises(ValueError, match="move"):
+                McmcConfig(move_probs=probs)
+        for alpha in (nan, inf, -inf):
+            with pytest.raises(ValueError, match="dirichlet_alpha"):
+                McmcConfig(dirichlet_alpha=alpha)

@@ -3,7 +3,9 @@
 Every state reached by a random sequence of feasible proposals must have a
 cached prior and likelihood equal, bit for bit, to the values computed on a
 freshly re-routed copy of the same tree, and to an independent evaluation of
-the prior's definition.
+the prior's definition. A change move that leaves the prior's support is cut
+short and returns no tree; a full rebuild with np.unique menus is the
+reference for which moves those are, and for every tree that is built.
 """
 
 import math
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 from treeuq import (
     Dataset,
+    DecisionTree,
     McmcConfig,
+    grow_randomized,
     log_marginal_likelihood,
     log_prior,
     propose_move,
@@ -26,7 +30,7 @@ from treeuq import (
 )
 from treeuq import mcmc
 from treeuq.mcmc import _log_prior_cached, dirichlet_multinomial_log_marginal
-from treeuq.tree import walk
+from treeuq.tree import TreeNode, walk
 
 ALL_KINDS = (0.25, 0.25, 0.25, 0.25)
 
@@ -48,6 +52,60 @@ def oracle_log_prior(tree, k_max, data):
         return -math.inf
     log_catalan = math.lgamma(2 * num_leaves - 1) - 2.0 * math.lgamma(num_leaves) - math.log(num_leaves)
     return -math.log(k_max) - log_catalan + log_rules
+
+
+def reroute(node, data, indices):
+    """A fresh copy of the subtree with data re-routed from indices down."""
+    counts = np.bincount(data.labels[indices], minlength=data.num_classes)
+    if node.is_leaf:
+        return TreeNode(counts, indices=indices)
+    goes_left = data.features[indices, node.feature] <= node.threshold
+    left = reroute(node.left, data, indices[goes_left])
+    right = reroute(node.right, data, indices[~goes_left])
+    return TreeNode(counts, node.feature, node.threshold, left, right, indices)
+
+
+def with_rule(node, target, feature, threshold):
+    """A copy of the tree in which target carries the given rule."""
+    if node is target:
+        return TreeNode(node.counts, feature, threshold, node.left, node.right)
+    if node.is_leaf:
+        return node
+    left = with_rule(node.left, target, feature, threshold)
+    right = with_rule(node.right, target, feature, threshold)
+    return TreeNode(node.counts, node.feature, node.threshold, left, right)
+
+
+def reference_change_move(tree, data, move_probs, seed):
+    """A change move built the way it was before the rebuild checked the support.
+
+    It draws from seed exactly as propose_move does, takes menus from
+    np.unique and re-routes the whole proposed tree. Returns (kind,
+    feasible, tree, log_ratio); for a birth or a death only the kind.
+    """
+    rng = np.random.default_rng(seed)
+    p_birth, p_death, p_change_var, _ = move_probs
+    r = rng.random()
+    if r < p_birth + p_death:
+        return ("birth" if r < p_birth else "death"), None, None, None
+    kind = "change_variable" if r < p_birth + p_death + p_change_var else "change_rule"
+    internals = walk(tree.root)[1]
+    if not internals:
+        return kind, False, None, None
+    node = internals[rng.integers(len(internals))]
+    feature = int(rng.integers(data.m)) if kind == "change_variable" else node.feature
+    menu = np.unique(data.features[node.indices, feature])[:-1]
+    if menu.size == 0:
+        return kind, False, None, None
+    log_ratio = 0.0
+    if kind == "change_variable":
+        old_menu = np.unique(data.features[node.indices, node.feature])[:-1]
+        if old_menu.size == 0:
+            return kind, False, None, None
+        log_ratio = math.log(menu.size) - math.log(old_menu.size)
+    threshold = float(menu[rng.integers(menu.size)])
+    root = reroute(with_rule(tree.root, node, feature, threshold), data, np.arange(data.n))
+    return kind, True, DecisionTree(root, tree.num_classes, tree.min_leaf), log_ratio
 
 
 def make_dataset(seed, n, m, num_classes, grid):
@@ -89,39 +147,81 @@ def check_state(tree, data, k_max, alpha):
 def test_cached_terms_equal_scratch_along_random_moves(
     data_seed, n, m, num_classes, grid, alpha, k_max, start_seed, step_seeds
 ):
-    # moves into every feasible proposal, unsupported ones included
+    # moves into every proposal that is built, births past k_max included
     data = make_dataset(data_seed, n, m, num_classes, grid)
     tree = sample_prior_tree(data, k_max, start_seed)
     check_state(tree, data, k_max, alpha)
     for seed in step_seeds:
         proposal = propose_move(tree, data, ALL_KINDS, seed)
-        if proposal.feasible:
+        if proposal.tree is not None:
             tree = proposal.tree
             check_state(tree, data, k_max, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data_seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 40),
+    m=st.integers(1, 3),
+    num_classes=st.integers(2, 4),
+    grid=st.sampled_from([0, 1, 2]),
+    k_max=st.integers(2, 10),
+    start_seed=st.integers(0, 2**32 - 1),
+    step_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+)
+def test_change_moves_agree_with_a_full_rebuild(
+    data_seed, n, m, num_classes, grid, k_max, start_seed, step_seeds
+):
+    # a walk through supported states; grid 1 and 2 give columns with ties
+    # and with both -0.0 and 0.0
+    data = make_dataset(data_seed, n, m, num_classes, grid)
+    tree = sample_prior_tree(data, k_max, start_seed)
+    for seed in step_seeds:
+        proposal = propose_move(tree, data, ALL_KINDS, seed)
+        kind, feasible, reference, log_ratio = reference_change_move(tree, data, ALL_KINDS, seed)
+        assert proposal.kind == kind
+        if kind in ("birth", "death"):
+            if proposal.tree is not None and log_prior(proposal.tree, k_max, data) > -math.inf:
+                tree = proposal.tree
+            continue
+        assert proposal.feasible == feasible
+        if not feasible:
+            continue
+        in_support = oracle_log_prior(reference, k_max, data) > -math.inf
+        assert (proposal.tree is not None) == in_support
+        if in_support:
+            assert serialize_tree(proposal.tree) == serialize_tree(reference)
+            assert proposal.log_ratio == log_ratio
+            tree = proposal.tree
 
 
 def test_walk_reaches_every_kind_and_both_kinds_of_unsupported_state():
     # A fixed long walk that moves only into supported states: every move
     # kind is applied, and change_rule proposals leave the prior's support
     # both by emptying a leaf and by putting a descendant's threshold off its
-    # new menu.
+    # new menu. Such a proposal returns no tree, so the full rebuild of the
+    # same draw tells which of the two happened.
     data = make_dataset(3, 30, 2, 3, grid=2)
-    rng = np.random.default_rng(8)
     kinds = set()
     empty_leaf = off_menu = 0
     tree = sample_prior_tree(data, 12, 5)
-    for _ in range(1500):
-        proposal = propose_move(tree, data, ALL_KINDS, rng)
+    for step in range(1500):
+        seed = np.random.SeedSequence((8, step))
+        proposal = propose_move(tree, data, ALL_KINDS, seed)
         if not proposal.feasible:
             continue
         kinds.add(proposal.kind)
-        if check_state(proposal.tree, data, 12, 1.0) > -math.inf:
+        if proposal.tree is None:
+            assert proposal.kind in ("change_variable", "change_rule")
+            _, _, reference, _ = reference_change_move(tree, data, ALL_KINDS, seed)
+            assert oracle_log_prior(reference, 12, data) == -math.inf
+            if proposal.kind == "change_rule":
+                if any(leaf.counts.sum() == 0 for leaf in walk(reference.root)[0]):
+                    empty_leaf += 1
+                else:
+                    off_menu += 1
+        elif check_state(proposal.tree, data, 12, 1.0) > -math.inf:
             tree = proposal.tree
-        elif proposal.kind == "change_rule":
-            if any(leaf.counts.sum() == 0 for leaf in walk(proposal.tree.root)[0]):
-                empty_leaf += 1
-            else:
-                off_menu += 1
     assert kinds == {"birth", "death", "change_variable", "change_rule"}
     assert empty_leaf > 0
     assert off_menu > 0
@@ -156,7 +256,7 @@ def test_tree_built_on_another_dataset_is_scored_on_the_given_one():
     assert log_prior(tree, 6, b) == oracle_log_prior(fresh, 6, b)
     for seed in range(20):
         proposal = propose_move(tree, b, ALL_KINDS, seed)
-        if proposal.feasible:
+        if proposal.tree is not None:
             rerouted = refresh_counts(proposal.tree, b)
             assert serialize_tree(proposal.tree) == serialize_tree(rerouted)
 
@@ -177,3 +277,64 @@ def test_a_chain_never_reroutes_its_own_states(monkeypatch):
             assert min(tree_size(s.tree) for s in samples) == 1  # deaths reach a single leaf
         starts.add(tree_size(mcmc.sample_prior_tree(data, 3, np.random.default_rng(seed))))
     assert 1 in starts  # some chains start from a single leaf
+
+
+def same_float(a, b):
+    """Equal as floats and in the sign bit, so -0.0 and 0.0 differ."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def check_menus_against_unique(data, rows):
+    """Rank-table menus at a node holding rows equal the np.unique ones."""
+    for feature in range(data.m):
+        values = np.unique(data.features[rows, feature])
+        menu = mcmc._split_menu(data, rows, feature)
+        assert menu.size == values.size - 1
+        for i in range(menu.size):
+            assert same_float(mcmc._menu_value(data, rows, feature, menu, i), float(values[i]))
+        candidates = np.concatenate([data.features[:, feature], [-0.0, 0.0, 0.25, 99.0, -99.0]])
+        for threshold in candidates.tolist():
+            _, menu_size, term = mcmc._rule_cache(data, rows, feature, threshold)
+            assert menu_size == menu.size
+            on_menu = threshold in values[:-1].tolist()
+            assert term == (math.log(data.m * menu.size) if on_menu else None)
+
+
+COLUMN_VALUES = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 2.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(COLUMN_VALUES, COLUMN_VALUES, st.floats(-3, 3)), min_size=1, max_size=30),
+    picks=st.lists(st.booleans(), min_size=30, max_size=30),
+)
+def test_rank_table_menus_equal_unique_menus(rows, picks):
+    # two tied columns that may hold both -0.0 and 0.0, and one continuous
+    features = np.array(rows, dtype=np.float64)
+    data = Dataset(features, np.zeros(len(rows), dtype=np.int64), 2, ("a", "b", "c"))
+    values, ranks, signed_zeros = data.rank_table
+    for j in range(data.m):
+        column = features[:, j]
+        assert np.array_equal(values[j], np.unique(column))
+        assert np.array_equal(values[j][ranks[j]], column)
+        zeros = column[column == 0.0]
+        assert signed_zeros[j] == (np.signbit(zeros).any() and not np.signbit(zeros).all())
+    subset = np.flatnonzero(picks[: data.n])
+    for node_rows in (np.arange(data.n), subset if subset.size else np.arange(1)):
+        check_menus_against_unique(data, node_rows)
+
+
+def test_menu_zero_keeps_the_sign_of_the_node_values():
+    # the column holds both zeros; each node's np.unique keeps the one it
+    # holds, and the rank table can hold only one of them
+    data = Dataset([[-0.0], [0.0], [1.0]], [0, 1, 0], 2, ("x",))
+    for rows in ([0, 2], [1, 2], [0, 1, 2], [1, 0, 2]):
+        check_menus_against_unique(data, np.array(rows))
+
+
+def test_rank_table_is_built_only_for_the_sampler():
+    data = make_dataset(4, 30, 2, 2, grid=2)
+    grow_randomized(data, min_leaf=1, top_k=5, seed=0)
+    assert "rank_table" not in vars(data)
+    sample_prior_tree(data, 6, 0)
+    assert "rank_table" in vars(data)
