@@ -35,9 +35,9 @@ class DatasetError(ValueError):
     """Raised when a file cannot be ingested as a classification dataset."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix with dense integer class labels.
+    """Feature matrix with dense integer class labels; equal only to itself.
 
     Attributes:
         features: (n, m) float matrix, no missing values.

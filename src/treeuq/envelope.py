@@ -27,9 +27,8 @@ POSTERIOR_SUM_TOLERANCE = 1e-6
 class EnvelopeSummary:
     """Outcome rates over a test set, plus plain argmax accuracy.
 
-    For cross-fold summaries, folds holds the per-fold summaries and the
-    two_sigma_* fields hold twice the sample standard deviation of each rate
-    across folds.
+    For cross-fold summaries, the two_sigma_* fields hold twice the sample
+    standard deviation of each rate, and of the accuracy, across folds.
     """
 
     rate_correct: float
@@ -37,10 +36,10 @@ class EnvelopeSummary:
     rate_incorrect: float
     accuracy: float
     n: int
-    folds: tuple[EnvelopeSummary, ...] | None = None
     two_sigma_correct: float | None = None
     two_sigma_uncertain: float | None = None
     two_sigma_incorrect: float | None = None
+    two_sigma_accuracy: float | None = None
 
 
 def p_min(num_classes: int) -> float:
@@ -105,10 +104,10 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
 
 
 def cross_fold_summary(fold_summaries) -> EnvelopeSummary:
-    """Mean rates across folds with 2-sigma interval widths.
+    """Mean rates and accuracy across folds with 2-sigma interval widths.
 
-    Each width is twice the sample standard deviation of the rate across
-    folds (not a +/- half-width).
+    Each width is twice the sample standard deviation across folds (not a
+    +/- half-width).
     """
     folds = tuple(fold_summaries)
     if len(folds) < 2:
@@ -123,8 +122,8 @@ def cross_fold_summary(fold_summaries) -> EnvelopeSummary:
         rate_incorrect=float(incorrect.mean()),
         accuracy=float(accuracy.mean()),
         n=int(sum(f.n for f in folds)),
-        folds=folds,
         two_sigma_correct=float(2.0 * correct.std(ddof=1)),
         two_sigma_uncertain=float(2.0 * uncertain.std(ddof=1)),
         two_sigma_incorrect=float(2.0 * incorrect.std(ddof=1)),
+        two_sigma_accuracy=float(2.0 * accuracy.std(ddof=1)),
     )

@@ -22,7 +22,11 @@ Moves: birth (split a uniform leaf), death (collapse a uniform prunable
 node), change_variable (redraw feature and threshold at a uniform internal
 node), change_rule (redraw threshold only). The returned log proposal ratio
 makes birth/death a reversible pair: it combines the leaf-vs-prunable-node
-counts with the split-choice probability.
+counts with the split-choice probability. Every move picks one node, builds
+its replacement and path-copies the route from it to the root. A birth or a
+change draws a rule from the node's menu, and one split builder routes the
+node's rows and rebuilds both children from templates: the leaf itself for
+a birth, the old children for a change.
 
 A change move checks the support while it re-routes the rows below the
 changed node: it stops at the first rebuilt node whose threshold is off its
@@ -53,6 +57,8 @@ bit-identical to it; a move therefore only pays for the nodes it creates.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -333,7 +339,7 @@ def _copy_replace(node: TreeNode, target: TreeNode, replacement: TreeNode) -> Tr
 
 def _rebuild_subtree(
     node: TreeNode, data: Dataset, indices: np.ndarray, keep_unchanged: bool = False
-) -> TreeNode:
+) -> TreeNode | None:
     """Same structure and rules as node, data re-routed from indices down.
 
     Every rebuilt node is cached for data. With keep_unchanged, a subtree
@@ -349,55 +355,51 @@ def _rebuild_subtree(
         and np.array_equal(node.indices, indices)
     ):
         return node
+    counts = np.bincount(data.labels[indices], minlength=data.num_classes)
     if node.is_leaf:
-        return _leaf(np.bincount(data.labels[indices], minlength=data.num_classes), indices, data)
+        return _leaf(counts, indices, data)
     cache = _rule_cache(data, indices, node.feature, node.threshold)
     if keep_unchanged and cache[2] is None:
         return None
-    goes_left = data.features[:, node.feature][indices] <= node.threshold
-    left = _rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged)
-    right = None if left is None else _rebuild_subtree(
-        node.right, data, indices[~goes_left], keep_unchanged
+    return _build_split(
+        counts, indices, node.feature, node.threshold, cache, node.left, node.right, data, keep_unchanged
     )
-    if right is None:
-        return None
-    rebuilt = TreeNode(
-        np.bincount(data.labels[indices], minlength=data.num_classes),
-        feature=node.feature,
-        threshold=node.threshold,
-        left=left,
-        right=right,
-        indices=indices,
-    )
-    rebuilt.cache = cache
-    return rebuilt
 
 
-def _grow_leaf(leaves: list[TreeNode], data: Dataset, rng) -> tuple[int, TreeNode | None, int]:
-    """Birth draw: split a uniform leaf on a uniform feature at a uniform menu value.
+def _build_split(counts, indices, feature, threshold, cache, left, right, data, keep_unchanged):
+    """A new internal node over indices whose children rebuild the two templates.
 
-    Returns (position of the leaf in ``leaves``, grown node, menu size); the
-    grown node is None when the drawn feature has no menu at that leaf.
+    The rule routes the rows, and each side is rebuilt from its template by
+    _rebuild_subtree; returns None when either rebuild stops. cache is the
+    node's rule entry, taken as it is.
     """
-    position = int(rng.integers(len(leaves)))
-    leaf = leaves[position]
-    feature = int(rng.integers(data.m))
-    menu = _split_menu(data, leaf.indices, feature)
+    goes_left = data.features[:, feature][indices] <= threshold
+    new_left = _rebuild_subtree(left, data, indices[goes_left], keep_unchanged)
+    new_right = new_left and _rebuild_subtree(right, data, indices[~goes_left], keep_unchanged)
+    if new_right is None:
+        return None
+    node = TreeNode(counts, feature, threshold, new_left, new_right, indices)
+    node.cache = cache
+    return node
+
+
+def _draw_split(node: TreeNode, feature: int, data: Dataset, rng) -> tuple[TreeNode | None, int]:
+    """Put a uniform menu threshold of feature at node, over the node's rows.
+
+    A leaf is split with itself as both templates (a birth; its rows go both
+    ways, so it is never kept); an internal node keeps its children as
+    templates, and every subtree whose rows the new rule leaves alone (a
+    change). Returns (new node, menu size); the node is None when the menu
+    is empty (size 0) or when a change left the support.
+    """
+    menu = _split_menu(data, node.indices, feature)
     if menu.size == 0:
-        return position, None, 0
-    threshold = _menu_value(data, leaf.indices, feature, menu, rng.integers(menu.size))
-    goes_left = data.features[:, feature][leaf.indices] <= threshold
-    left_idx, right_idx = leaf.indices[goes_left], leaf.indices[~goes_left]
-    grown = TreeNode(
-        leaf.counts,
-        feature=feature,
-        threshold=threshold,
-        left=_leaf(np.bincount(data.labels[left_idx], minlength=data.num_classes), left_idx, data),
-        right=_leaf(np.bincount(data.labels[right_idx], minlength=data.num_classes), right_idx, data),
-        indices=leaf.indices,
-    )
-    grown.cache = (data, menu.size, math.log(data.m * menu.size))
-    return position, grown, menu.size
+        return None, 0
+    threshold = _menu_value(data, node.indices, feature, menu, rng.integers(menu.size))
+    cache = (data, menu.size, math.log(data.m * menu.size))
+    left, right = (node, node) if node.is_leaf else (node.left, node.right)
+    built = _build_split(node.counts, node.indices, feature, threshold, cache, left, right, data, True)
+    return built, menu.size
 
 
 def _log(x: float) -> float:
@@ -416,89 +418,59 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
     """
     tree = _ensure_cached(tree, data)
     rng = np.random.default_rng(seed)
-    p_birth, p_death, p_change_var, p_change_rule = move_probs
-    r = rng.random()
-    if r < p_birth:
-        kind = "birth"
-    elif r < p_birth + p_death:
-        kind = "death"
-    elif r < p_birth + p_death + p_change_var:
-        kind = "change_variable"
-    else:
-        kind = "change_rule"
-
-    root = tree.root
-    num_features = data.m
-    leaves, internals, prunable = walk(root)
+    p_birth, p_death, _, _ = move_probs
+    # the kind's index is the number of cumulative probabilities at or below r
+    kind = MOVE_KINDS[bisect.bisect_right(list(itertools.accumulate(move_probs[:3])), rng.random())]
+    infeasible = Proposal(kind, None, -math.inf, False)
+    leaves, internals, prunable = walk(tree.root)
 
     if kind == "birth":
-        position, grown, menu_size = _grow_leaf(leaves, data, rng)
-        if grown is None:
-            return Proposal(kind, None, -math.inf, False)
-        leaf = leaves[position]
-        new_root = _copy_replace(root, leaf, grown)
+        target = leaves[rng.integers(len(leaves))]
+        replacement, menu_size = _draw_split(target, int(rng.integers(data.m)), data, rng)
+        if replacement is None:
+            return infeasible
         # the grown node becomes prunable; the leaf's parent stops being so
-        parent_was_prunable = any(p.left is leaf or p.right is leaf for p in prunable)
-        prunable_after = len(prunable) + 1 - parent_was_prunable
+        parent_was_prunable = any(p.left is target or p.right is target for p in prunable)
         log_ratio = (
             _log(p_death)
             - _log(p_birth)
-            + math.log(len(leaves) * num_features * menu_size)
-            - math.log(prunable_after)
+            + math.log(len(leaves) * data.m * menu_size)
+            - math.log(len(prunable) + 1 - parent_was_prunable)
         )
-        proposed = DecisionTree(new_root, tree.num_classes, tree.min_leaf)
-        return Proposal(kind, proposed, log_ratio, True)
-
-    if kind == "death":
+    elif kind == "death":
         if not prunable:
-            return Proposal(kind, None, -math.inf, False)
-        node = prunable[rng.integers(len(prunable))]
-        menu_size, _ = _rule_terms(node, data)
+            return infeasible
+        target = prunable[rng.integers(len(prunable))]
+        menu_size, _ = _rule_terms(target, data)
         if menu_size < 1:
-            return Proposal(kind, None, -math.inf, False)
-        collapsed = _leaf(node.counts, node.indices, data)
-        new_root = _copy_replace(root, node, collapsed)
-        leaves_after = len(leaves) - 1
+            return infeasible
+        replacement = _leaf(target.counts, target.indices, data)
         log_ratio = (
             _log(p_birth)
             - _log(p_death)
             + math.log(len(prunable))
-            - math.log(leaves_after * num_features * menu_size)
+            - math.log((len(leaves) - 1) * data.m * menu_size)
         )
-        proposed = DecisionTree(new_root, tree.num_classes, tree.min_leaf)
-        return Proposal(kind, proposed, log_ratio, True)
+    else:
+        if not internals:
+            return infeasible
+        target = internals[rng.integers(len(internals))]
+        # change_rule keeps the feature and redraws the threshold only
+        feature = target.feature
+        if kind == "change_variable":
+            feature = int(rng.integers(data.m))
+            old_menu_size, _ = _rule_terms(target, data)
+            if old_menu_size < 1:
+                return infeasible
+        replacement, menu_size = _draw_split(target, feature, data, rng)
+        if menu_size == 0:
+            return infeasible
+        if replacement is None:  # the rebuild left the prior's support
+            return Proposal(kind, None, -math.inf, True)
+        log_ratio = math.log(menu_size) - math.log(old_menu_size) if kind == "change_variable" else 0.0
 
-    if not internals:
-        return Proposal(kind, None, -math.inf, False)
-    node = internals[rng.integers(len(internals))]
-
-    # change_rule keeps the feature and redraws the threshold only
-    new_feature = int(rng.integers(num_features)) if kind == "change_variable" else node.feature
-    menu = _split_menu(data, node.indices, new_feature)
-    if menu.size == 0:
-        return Proposal(kind, None, -math.inf, False)
-    log_ratio = 0.0
-    if kind == "change_variable":
-        old_menu_size, _ = _rule_terms(node, data)
-        if old_menu_size < 1:
-            return Proposal(kind, None, -math.inf, False)
-        log_ratio = math.log(menu.size) - math.log(old_menu_size)
-    indices = node.indices
-    new_threshold = _menu_value(data, indices, new_feature, menu, rng.integers(menu.size))
-    goes_left = data.features[:, new_feature][indices] <= new_threshold
-    left = _rebuild_subtree(node.left, data, indices[goes_left], keep_unchanged=True)
-    right = None if left is None else _rebuild_subtree(
-        node.right, data, indices[~goes_left], keep_unchanged=True
-    )
-    if right is None:  # the rebuild left the prior's support
-        return Proposal(kind, None, -math.inf, True)
-    rebuilt = TreeNode(
-        node.counts, feature=new_feature, threshold=new_threshold, left=left, right=right, indices=indices
-    )
-    rebuilt.cache = (data, menu.size, math.log(data.m * menu.size))
-    new_root = _copy_replace(root, node, rebuilt)
-    proposed = DecisionTree(new_root, tree.num_classes, tree.min_leaf)
-    return Proposal(kind, proposed, log_ratio, True)
+    new_root = _copy_replace(tree.root, target, replacement)
+    return Proposal(kind, DecisionTree(new_root, tree.num_classes, tree.min_leaf), log_ratio, True)
 
 
 def _transition(tree, log_lik, log_pri, data, config, rng, loglik_fn):
@@ -532,7 +504,8 @@ def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
     attempts = 0
     while len(leaves) < target_leaves and attempts < 20 * k_max:
         attempts += 1
-        position, grown, _ = _grow_leaf(leaves, data, rng)
+        position = int(rng.integers(len(leaves)))
+        grown, _ = _draw_split(leaves[position], int(rng.integers(data.m)), data, rng)
         if grown is None:
             continue
         root = _copy_replace(root, leaves[position], grown)
@@ -555,8 +528,6 @@ def run_chain(
     is an optional writable text stream receiving one line per retained
     sample: restart, step, leaf count, log posterior.
     """
-    if data.n < 1:
-        raise ValueError("cannot run a chain on an empty dataset")
     rng = np.random.default_rng(seed)
     loglik = loglik_fn if loglik_fn is not None else log_marginal_likelihood
     tree = sample_prior_tree(data, config.max_leaves, rng)

@@ -231,8 +231,6 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     or nodes with no valid candidate. Deterministic given seed; with top_k=1
     this is greedy CART.
     """
-    if data.n < 1:
-        raise ValueError("cannot grow a tree on an empty dataset")
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
     rng = np.random.default_rng(seed)

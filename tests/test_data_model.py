@@ -310,3 +310,20 @@ class TestDatasetValidation:
         sub = data.subset(np.arange(5))
         assert sub.n == 5
         assert np.array_equal(sub.features, data.features[:5])
+
+    def test_empty_dataset_rejected(self):
+        # the only guard against zero rows: the sampler, the tree grower and
+        # best_single_tree rely on it
+        with pytest.raises(DatasetError):
+            Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2, ("x", "y"))
+        data = sample_mixture(make_benchmark_mixture(), 20, 1)
+        with pytest.raises(DatasetError):
+            data.subset(np.array([], dtype=np.intp))
+
+    def test_equality_and_hash_by_identity(self):
+        rows = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]
+        a = Dataset(rows, [0, 1, 0], 2, ("x", "y"))
+        b = Dataset(rows, [0, 1, 0], 2, ("x", "y"))
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2

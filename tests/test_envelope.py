@@ -121,6 +121,7 @@ class TestCrossFoldSummary:
         assert summary.two_sigma_correct == pytest.approx(0.0, abs=1e-12)
         assert summary.two_sigma_uncertain == pytest.approx(0.0, abs=1e-12)
         assert summary.two_sigma_incorrect == pytest.approx(0.0, abs=1e-12)
+        assert summary.two_sigma_accuracy == pytest.approx(0.0, abs=1e-12)
 
     def test_two_folds_hand_value(self):
         summary = cross_fold_summary([self._fold(0.8, 0.2, 0.0), self._fold(0.9, 0.1, 0.0)])
@@ -132,12 +133,14 @@ class TestCrossFoldSummary:
     def test_five_folds_match_statistics_oracle(self):
         rng = np.random.default_rng(3)
         rates = rng.dirichlet((2, 2, 2), size=5)
-        folds = [self._fold(*row) for row in rates]
+        accuracies = rng.uniform(0.5, 1.0, size=5)
+        folds = [self._fold(*row, accuracy=a) for row, a in zip(rates, accuracies)]
         summary = cross_fold_summary(folds)
         for column, mean_field, width_field in [
             (rates[:, 0], summary.rate_correct, summary.two_sigma_correct),
             (rates[:, 1], summary.rate_uncertain, summary.two_sigma_uncertain),
             (rates[:, 2], summary.rate_incorrect, summary.two_sigma_incorrect),
+            (accuracies, summary.accuracy, summary.two_sigma_accuracy),
         ]:
             assert mean_field == pytest.approx(column.mean())
             assert width_field == pytest.approx(2 * column.std(ddof=1))

@@ -177,7 +177,10 @@ def _summary(c, u, i, accuracy, widths=None):
     kwargs = {}
     if widths is not None:
         kwargs = dict(
-            two_sigma_correct=widths[0], two_sigma_uncertain=widths[1], two_sigma_incorrect=widths[2]
+            two_sigma_correct=widths[0],
+            two_sigma_uncertain=widths[1],
+            two_sigma_incorrect=widths[2],
+            two_sigma_accuracy=widths[3],
         )
     return EnvelopeSummary(
         rate_correct=c, rate_uncertain=u, rate_incorrect=i, accuracy=accuracy, n=1000, **kwargs
@@ -193,12 +196,11 @@ class TestEmitReport:
             n_samples=100_000,
         )
         randomized = RandomizedResult(
-            accuracy_2sigma=0.012,
             best_single_accuracy=0.8512,
             best_single_2sigma=0.02,
             size_mean=32.9,
             size_std=3.3,
-            envelope=_summary(0.789, 0.098, 0.113, 0.8712, widths=(0.349, 0.437, 0.089)),
+            envelope=_summary(0.789, 0.098, 0.113, 0.8712, widths=(0.349, 0.437, 0.089, 0.012)),
             folds=(),
         )
         return ExperimentReport(

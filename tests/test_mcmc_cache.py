@@ -4,8 +4,9 @@ Every state reached by a random sequence of feasible proposals must have a
 cached prior and likelihood equal, bit for bit, to the values computed on a
 freshly re-routed copy of the same tree, and to an independent evaluation of
 the prior's definition. A change move that leaves the prior's support is cut
-short and returns no tree; a full rebuild with np.unique menus is the
-reference for which moves those are, and for every tree that is built.
+short and returns no tree; a full rebuild with np.unique menus, drawing from
+the same generator in the same order, is the reference for every move kind:
+for which moves those are, for every tree that is built and for the draws.
 """
 
 import math
@@ -21,6 +22,7 @@ from treeuq import (
     grow_randomized,
     log_marginal_likelihood,
     log_prior,
+    parse_tree,
     propose_move,
     refresh_counts,
     run_chain,
@@ -65,47 +67,110 @@ def reroute(node, data, indices):
     return TreeNode(counts, node.feature, node.threshold, left, right, indices)
 
 
-def with_rule(node, target, feature, threshold):
-    """A copy of the tree in which target carries the given rule."""
+def replaced(node, target, new):
+    """A copy of the tree in which target is swapped for new."""
     if node is target:
-        return TreeNode(node.counts, feature, threshold, node.left, node.right)
+        return new
     if node.is_leaf:
         return node
-    left = with_rule(node.left, target, feature, threshold)
-    right = with_rule(node.right, target, feature, threshold)
+    left = replaced(node.left, target, new)
+    right = replaced(node.right, target, new)
     return TreeNode(node.counts, node.feature, node.threshold, left, right)
 
 
-def reference_change_move(tree, data, move_probs, seed):
-    """A change move built the way it was before the rebuild checked the support.
+def reference_move(tree, data, move_probs, seed):
+    """A move of any kind built the plain way, drawing as propose_move does.
 
-    It draws from seed exactly as propose_move does, takes menus from
-    np.unique and re-routes the whole proposed tree. Returns (kind,
-    feasible, tree, log_ratio); for a birth or a death only the kind.
+    seed may be a shared Generator: every draw is taken from it in the order
+    propose_move takes it, including the infeasible exits. Menus come from
+    np.unique and the whole proposed tree is re-routed from the root, so a
+    proposal that leaves the prior's support is built too. Returns (kind,
+    feasible, tree, log_ratio).
     """
     rng = np.random.default_rng(seed)
     p_birth, p_death, p_change_var, _ = move_probs
     r = rng.random()
     if r < p_birth + p_death:
-        return ("birth" if r < p_birth else "death"), None, None, None
-    kind = "change_variable" if r < p_birth + p_death + p_change_var else "change_rule"
-    internals = walk(tree.root)[1]
+        kind = "birth" if r < p_birth else "death"
+    else:
+        kind = "change_variable" if r < p_birth + p_death + p_change_var else "change_rule"
+    infeasible = (kind, False, None, None)
+    root = reroute(tree.root, data, np.arange(data.n))
+    leaves, internals, prunable = walk(root)
+
+    def menu(node, feature):
+        return np.unique(data.features[node.indices, feature])[:-1]
+
+    def proposed(node, new):
+        new_root = reroute(replaced(root, node, new), data, np.arange(data.n))
+        return DecisionTree(new_root, tree.num_classes, tree.min_leaf)
+
+    if kind == "birth":
+        leaf = leaves[rng.integers(len(leaves))]
+        feature = int(rng.integers(data.m))
+        thresholds = menu(leaf, feature)
+        if thresholds.size == 0:
+            return infeasible
+        threshold = float(thresholds[rng.integers(thresholds.size)])
+        grown = proposed(leaf, TreeNode(leaf.counts, feature, threshold, leaf, leaf))
+        log_ratio = (
+            math.log(p_death)
+            - math.log(p_birth)
+            + math.log(len(leaves) * data.m * thresholds.size)
+            - math.log(len(walk(grown.root)[2]))
+        )
+        return kind, True, grown, log_ratio
+    if kind == "death":
+        if not prunable:
+            return infeasible
+        node = prunable[rng.integers(len(prunable))]
+        old_size = menu(node, node.feature).size
+        if old_size == 0:
+            return infeasible
+        log_ratio = (
+            math.log(p_birth)
+            - math.log(p_death)
+            + math.log(len(prunable))
+            - math.log((len(leaves) - 1) * data.m * old_size)
+        )
+        return kind, True, proposed(node, TreeNode(node.counts)), log_ratio
     if not internals:
-        return kind, False, None, None
+        return infeasible
     node = internals[rng.integers(len(internals))]
     feature = int(rng.integers(data.m)) if kind == "change_variable" else node.feature
-    menu = np.unique(data.features[node.indices, feature])[:-1]
-    if menu.size == 0:
-        return kind, False, None, None
+    thresholds = menu(node, feature)
+    if thresholds.size == 0:
+        return infeasible
     log_ratio = 0.0
     if kind == "change_variable":
-        old_menu = np.unique(data.features[node.indices, node.feature])[:-1]
-        if old_menu.size == 0:
-            return kind, False, None, None
-        log_ratio = math.log(menu.size) - math.log(old_menu.size)
-    threshold = float(menu[rng.integers(menu.size)])
-    root = reroute(with_rule(tree.root, node, feature, threshold), data, np.arange(data.n))
-    return kind, True, DecisionTree(root, tree.num_classes, tree.min_leaf), log_ratio
+        old_size = menu(node, node.feature).size
+        if old_size == 0:
+            return infeasible
+        log_ratio = math.log(thresholds.size) - math.log(old_size)
+    threshold = float(thresholds[rng.integers(thresholds.size)])
+    changed = TreeNode(node.counts, feature, threshold, node.left, node.right)
+    return kind, True, proposed(node, changed), log_ratio
+
+
+def check_against_reference(tree, data, k_max, rng, reference_rng):
+    """One proposal from tree against the reference; returns it and whether it is in the support.
+
+    Both generators must have taken the same draws afterwards.
+    """
+    proposal = propose_move(tree, data, ALL_KINDS, rng)
+    kind, feasible, reference, log_ratio = reference_move(tree, data, ALL_KINDS, reference_rng)
+    assert rng.random() == reference_rng.random()
+    assert (proposal.kind, proposal.feasible) == (kind, feasible)
+    if not feasible:
+        return proposal, False
+    in_support = oracle_log_prior(reference, k_max, data) > -math.inf
+    if proposal.tree is None:
+        # only a change move stops its rebuild, and only outside the support
+        assert kind in ("change_variable", "change_rule") and not in_support
+        return proposal, False
+    assert serialize_tree(proposal.tree) == serialize_tree(reference)
+    assert proposal.log_ratio == log_ratio
+    return proposal, in_support
 
 
 def make_dataset(seed, n, m, num_classes, grid):
@@ -167,32 +232,47 @@ def test_cached_terms_equal_scratch_along_random_moves(
     grid=st.sampled_from([0, 1, 2]),
     k_max=st.integers(2, 10),
     start_seed=st.integers(0, 2**32 - 1),
-    step_seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+    walk_seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 40),
 )
-def test_change_moves_agree_with_a_full_rebuild(
-    data_seed, n, m, num_classes, grid, k_max, start_seed, step_seeds
+def test_moves_agree_with_a_full_rebuild(
+    data_seed, n, m, num_classes, grid, k_max, start_seed, walk_seed, steps
 ):
-    # a walk through supported states; grid 1 and 2 give columns with ties
-    # and with both -0.0 and 0.0
+    # a walk through supported states, both sides drawing from one generator
+    # each; grid 1 and 2 give columns with ties and with both -0.0 and 0.0
     data = make_dataset(data_seed, n, m, num_classes, grid)
     tree = sample_prior_tree(data, k_max, start_seed)
-    for seed in step_seeds:
-        proposal = propose_move(tree, data, ALL_KINDS, seed)
-        kind, feasible, reference, log_ratio = reference_change_move(tree, data, ALL_KINDS, seed)
-        assert proposal.kind == kind
-        if kind in ("birth", "death"):
-            if proposal.tree is not None and log_prior(proposal.tree, k_max, data) > -math.inf:
-                tree = proposal.tree
-            continue
-        assert proposal.feasible == feasible
-        if not feasible:
-            continue
-        in_support = oracle_log_prior(reference, k_max, data) > -math.inf
-        assert (proposal.tree is not None) == in_support
+    rng, reference_rng = np.random.default_rng(walk_seed), np.random.default_rng(walk_seed)
+    for _ in range(steps):
+        proposal, in_support = check_against_reference(tree, data, k_max, rng, reference_rng)
+        if proposal.kind in ("change_variable", "change_rule") and proposal.feasible:
+            # from a supported state a change is built exactly when it stays in
+            assert (proposal.tree is not None) == in_support
         if in_support:
-            assert serialize_tree(proposal.tree) == serialize_tree(reference)
-            assert proposal.log_ratio == log_ratio
             tree = proposal.tree
+
+
+def test_moves_from_a_tree_outside_the_chain_agree_with_a_full_rebuild():
+    # Node 1 splits on x0, which is 0 on all of its rows: its own menu is
+    # empty and its right leaf holds no row. A change_variable there is
+    # infeasible before any threshold is drawn, whatever the new feature's
+    # menu; so are a change_rule and a death there, and a birth below it.
+    x0 = [0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+    x1 = [0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0]
+    data = Dataset(np.column_stack([x0, x1]), [0, 1, 0, 1, 1, 0, 1, 0], 2, ("x0", "x1"))
+    tree = parse_tree(
+        "0 split 0 0.0\n1 split 0 0.5\n2 leaf 2 2\n3 leaf 0 0\n"
+        "4 split 1 1.0\n5 leaf 1 1\n6 leaf 1 1\n",
+        num_classes=2,
+    )
+    rng, reference_rng = np.random.default_rng(21), np.random.default_rng(21)
+    infeasible = {kind: 0 for kind in ("birth", "death", "change_variable", "change_rule")}
+    for _ in range(400):
+        proposal, _ = check_against_reference(tree, data, 6, rng, reference_rng)
+        infeasible[proposal.kind] += not proposal.feasible
+    # every other node has a menu on both features, so each count comes from
+    # node 1 or a leaf below it
+    assert all(count > 0 for count in infeasible.values())
 
 
 def test_walk_reaches_every_kind_and_both_kinds_of_unsupported_state():
@@ -213,7 +293,7 @@ def test_walk_reaches_every_kind_and_both_kinds_of_unsupported_state():
         kinds.add(proposal.kind)
         if proposal.tree is None:
             assert proposal.kind in ("change_variable", "change_rule")
-            _, _, reference, _ = reference_change_move(tree, data, ALL_KINDS, seed)
+            _, _, reference, _ = reference_move(tree, data, ALL_KINDS, seed)
             assert oracle_log_prior(reference, 12, data) == -math.inf
             if proposal.kind == "change_rule":
                 if any(leaf.counts.sum() == 0 for leaf in walk(reference.root)[0]):
