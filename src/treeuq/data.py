@@ -319,17 +319,15 @@ def _posterior_matrix(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarr
     classes = np.array([c.class_index for c in spec.components])
     num_classes = spec.num_classes
     shift = logd.max(axis=1, keepdims=True)
-    underflow = ~np.isfinite(shift[:, 0])
+    # a finite maximum adds exp(0) = 1 to its row's total; otherwise the
+    # total is 0 (every density underflows) or NaN, and the row takes the priors
     dens = np.exp(logd - np.where(np.isfinite(shift), shift, 0.0))
     per_class = np.zeros((points.shape[0], num_classes))
     for c in range(num_classes):
         per_class[:, c] = dens[:, classes == c].sum(axis=1)
     total = per_class.sum(axis=1, keepdims=True)
     priors = spec.class_priors()
-    out = np.where(total > 0, per_class / np.where(total > 0, total, 1.0), priors[None, :])
-    if underflow.any():
-        out[underflow] = priors[None, :]
-    return out
+    return np.where(total > 0, per_class / np.where(total > 0, total, 1.0), priors[None, :])
 
 
 def bayes_posterior(spec: GaussianMixtureSpec, x) -> np.ndarray:

@@ -48,6 +48,14 @@ class EnsembleConfig:
     top_k: int = 20
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ValueError(f"need n_trees >= 1, got {self.n_trees}")
+        if self.top_k < 1:
+            raise ValueError(f"need top_k >= 1, got {self.top_k}")
+        if self.min_leaf is not None and self.min_leaf < 1:
+            raise ValueError(f"need min_leaf >= 1, got {self.min_leaf}")
+
 
 def default_min_leaf(train_size: int) -> int:
     return MIN_LEAF_LARGE if train_size > LARGE_TRAIN_THRESHOLD else MIN_LEAF_SMALL
@@ -62,8 +70,6 @@ def train_ensemble(
     so any tree is reproducible in isolation. Every tree records the resolved
     min_leaf in ``DecisionTree.min_leaf``.
     """
-    if config.n_trees < 1:
-        raise ValueError(f"need n_trees >= 1, got {config.n_trees}")
     min_leaf = config.min_leaf if config.min_leaf is not None else default_min_leaf(train.n)
     return tuple(
         grow_randomized(

@@ -43,16 +43,19 @@ own fields and one Dataset, and the Dataset is stored with them. An internal
 node keeps ``(data, menu size, log(m * menu size))`` with ``None`` for the
 log term when its threshold is off its menu; a leaf keeps ``(data, alpha,
 Dirichlet-multinomial log marginal of its counts)``, or ``(data, None,
-None)`` until it is first scored. Nodes are immutable and keep their
+None)`` until it is first scored (a leaf scored with another alpha is
+scored again). Every node the sampler builds is cached for the Dataset it
+is built on when it is made, and a tree's nodes are all built on one
+Dataset, so the root's Dataset is the whole tree's. ``_ensure_cached`` is
+the only place that checks it: the public entry points use a tree as it is
+when its root is cached for the Dataset they are given, and otherwise
+re-route that Dataset through a copy first; every tree a chain builds has
+such a root, so a chain never re-routes. Nodes are immutable and keep their
 ``indices``, so a term computed once stays exact, and path copies of an
-unchanged node carry it. A cache stored with another Dataset (or, for a
-leaf, another alpha) is recomputed, never reused. The public entry points
-trust a tree's counts and rows only when its root is cached for the Dataset
-they are given, and otherwise re-route that Dataset through a copy first;
-every tree a chain builds has such a root, so a chain never re-routes. The
-prior and the likelihood of a tree are the cached terms summed in preorder
-with the same float operations a from-scratch evaluation uses, so they are
-bit-identical to it; a move therefore only pays for the nodes it creates.
+unchanged node carry it. The prior and the likelihood of a tree are the
+cached terms summed in preorder with the same float operations a
+from-scratch evaluation uses, so they are bit-identical to it; a move
+therefore only pays for the nodes it creates.
 """
 
 from __future__ import annotations
@@ -262,20 +265,12 @@ def _rule_cache(data: Dataset, indices: np.ndarray, feature: int, threshold: flo
     return data, menu_size, math.log(data.m * menu_size) if on_menu else None
 
 
-def _rule_terms(node: TreeNode, data: Dataset) -> tuple[int, float | None]:
-    """Cached (menu size, log(m * menu size)) of an internal node."""
-    cache = node.cache
-    if cache is None or cache[0] is not data:
-        cache = node.cache = _rule_cache(data, node.indices, node.feature, node.threshold)
-    return cache[1], cache[2]
-
-
 def _leaf_terms(leaves: list[TreeNode], data: Dataset, alpha: float) -> list[float]:
-    """Cached Dirichlet-multinomial term of each leaf; missing ones in one batch."""
-    stale = [
-        leaf for leaf in leaves
-        if leaf.cache is None or leaf.cache[0] is not data or leaf.cache[1] != alpha
-    ]
+    """Cached Dirichlet-multinomial term of each leaf; missing ones in one batch.
+
+    The leaves are cached for data; a leaf not yet scored holds alpha None.
+    """
+    stale = [leaf for leaf in leaves if leaf.cache[1] != alpha]
     if stale:
         terms = _leaf_log_marginals([leaf.counts for leaf in stale], alpha)
         for leaf, term in zip(stale, terms.tolist()):
@@ -295,16 +290,17 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
     Support requires: leaf count <= k_max, no empty leaf, and every internal
     node's threshold taken from its own split menu.
     """
-    return _log_prior_cached(_ensure_cached(tree, data), k_max, data)
+    return _log_prior_cached(_ensure_cached(tree, data), k_max)
 
 
-def _log_prior_cached(tree: DecisionTree, k_max: int, data: Dataset) -> float:
+def _log_prior_cached(tree: DecisionTree, k_max: int) -> float:
+    """log_prior of a tree whose nodes are cached for the Dataset in question."""
     leaves, internals, _ = walk(tree.root)
     if len(leaves) > k_max or any(leaf.indices.size == 0 for leaf in leaves):
         return -math.inf
     log_rules = 0.0
     for node in internals:
-        _, term = _rule_terms(node, data)
+        term = node.cache[2]
         if term is None:
             return -math.inf
         log_rules -= term
@@ -321,18 +317,11 @@ def _copy_replace(node: TreeNode, target: TreeNode, replacement: TreeNode) -> Tr
         return replacement
     if node.is_leaf:
         return None
-    new_left = _copy_replace(node.left, target, replacement)
-    if new_left is not None:
-        copy = TreeNode(
-            node.counts, node.feature, node.threshold, new_left, node.right, node.indices
-        )
-    else:
-        new_right = _copy_replace(node.right, target, replacement)
-        if new_right is None:
-            return None
-        copy = TreeNode(
-            node.counts, node.feature, node.threshold, node.left, new_right, node.indices
-        )
+    left = _copy_replace(node.left, target, replacement)
+    right = node.right if left is not None else _copy_replace(node.right, target, replacement)
+    if right is None:
+        return None
+    copy = TreeNode(node.counts, node.feature, node.threshold, left or node.left, right, node.indices)
     copy.cache = node.cache
     return copy
 
@@ -348,12 +337,7 @@ def _rebuild_subtree(
     whose threshold is off its own menu. An on-menu threshold sends rows
     both ways, so a node that a move empties always lies below such a node.
     """
-    if (
-        keep_unchanged
-        and node.indices is not None
-        and node.indices.size == indices.size
-        and np.array_equal(node.indices, indices)
-    ):
+    if keep_unchanged and node.indices.size == indices.size and np.array_equal(node.indices, indices):
         return node
     counts = np.bincount(data.labels[indices], minlength=data.num_classes)
     if node.is_leaf:
@@ -441,7 +425,7 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         if not prunable:
             return infeasible
         target = prunable[rng.integers(len(prunable))]
-        menu_size, _ = _rule_terms(target, data)
+        menu_size = target.cache[1]
         if menu_size < 1:
             return infeasible
         replacement = _leaf(target.counts, target.indices, data)
@@ -459,7 +443,7 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         feature = target.feature
         if kind == "change_variable":
             feature = int(rng.integers(data.m))
-            old_menu_size, _ = _rule_terms(target, data)
+            old_menu_size = target.cache[1]
             if old_menu_size < 1:
                 return infeasible
         replacement, menu_size = _draw_split(target, feature, data, rng)
@@ -474,21 +458,20 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
 
 
 def _transition(tree, log_lik, log_pri, data, config, rng, loglik_fn):
-    """One MH step from a state with cached log likelihood/prior."""
+    """One MH step from the state (tree, log likelihood, log prior); returns the next state."""
+    state = tree, log_lik, log_pri
     proposal = propose_move(tree, data, config.move_probs, rng)
     if not proposal.feasible:
-        return tree, log_lik, log_pri, False
+        return state
     u = rng.random()  # drawn for every feasible proposal, in the support or not
     if proposal.tree is None:
-        return tree, log_lik, log_pri, False
-    new_pri = _log_prior_cached(proposal.tree, config.max_leaves, data)
+        return state
+    new_pri = _log_prior_cached(proposal.tree, config.max_leaves)
     if new_pri == -math.inf:
-        return tree, log_lik, log_pri, False
+        return state
     new_lik = loglik_fn(proposal.tree, data, config.dirichlet_alpha)
     log_accept = (new_lik - log_lik) + (new_pri - log_pri) + proposal.log_ratio
-    if _log(u) < log_accept:
-        return proposal.tree, new_lik, new_pri, True
-    return tree, log_lik, log_pri, False
+    return (proposal.tree, new_lik, new_pri) if _log(u) < log_accept else state
 
 
 def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
@@ -532,15 +515,13 @@ def run_chain(
     loglik = loglik_fn if loglik_fn is not None else log_marginal_likelihood
     tree = sample_prior_tree(data, config.max_leaves, rng)
     log_lik = loglik(tree, data, config.dirichlet_alpha)
-    log_pri = _log_prior_cached(tree, config.max_leaves, data)
-
-    for _ in range(config.burn_in):
-        tree, log_lik, log_pri, _ = _transition(tree, log_lik, log_pri, data, config, rng, loglik)
+    log_pri = _log_prior_cached(tree, config.max_leaves)
 
     samples: list[ChainSample] = []
-    for step in range(1, config.post_burn_in + 1):
-        tree, log_lik, log_pri, _ = _transition(tree, log_lik, log_pri, data, config, rng, loglik)
-        if (step - 1) % config.thinning == 0:
+    # burn-in steps are numbered 1 - burn_in .. 0, retained ones 1 .. post_burn_in
+    for step in range(1 - config.burn_in, config.post_burn_in + 1):
+        tree, log_lik, log_pri = _transition(tree, log_lik, log_pri, data, config, rng, loglik)
+        if step > 0 and (step - 1) % config.thinning == 0:
             samples.append(ChainSample(tree=tree, restart_index=restart_index, step_index=step))
             if trace is not None:
                 trace.write(
@@ -549,9 +530,7 @@ def run_chain(
     return samples
 
 
-def run_with_restarts(
-    data: Dataset, config: McmcConfig, loglik_fn=None, trace_path=None
-) -> PosteriorEnsemble:
+def run_with_restarts(data: Dataset, config: McmcConfig, trace_path=None) -> PosteriorEnsemble:
     """Pool retained samples from config.restarts independent chains.
 
     Chain seeds derive from config.seed as SeedSequence((seed, restart)), so
@@ -567,7 +546,6 @@ def run_with_restarts(
                     config,
                     restart_index=restart,
                     seed=np.random.SeedSequence((config.seed, restart)),
-                    loglik_fn=loglik_fn,
                     trace=trace,
                 )
             )

@@ -51,9 +51,11 @@ class TreeNode:
 
     ``counts`` holds the per-class training counts of the points reaching the
     node; ``indices`` optionally caches which training rows those are (only the
-    sampler's trees keep them; prediction does not need them). ``cache`` is a
-    slot the sampler fills with values it derives from the node's own fields;
-    nodes are never mutated after construction, so those values stay exact.
+    sampler's trees keep them; prediction does not need them). ``cache`` is
+    None except on the sampler's nodes, which are cached when they are made
+    with values derived from the node's own fields and the Dataset they were
+    built on; the sampler checks that Dataset only at a tree's root. Nodes
+    are never mutated after construction, so those values stay exact.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "counts", "indices", "cache")
@@ -282,31 +284,44 @@ def serialize_tree(tree: DecisionTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_line(number: int, line: str, num_classes: int) -> tuple[int, float] | np.ndarray:
+    """(feature, threshold) of a split line, or the counts of a leaf line."""
+    parts = line.split()
+    kind = parts[1] if len(parts) > 1 else None
+    try:
+        if kind == "leaf":
+            counts = np.array([int(c) for c in parts[2:]], dtype=np.int64)
+            if counts.shape == (num_classes,) and counts.min() >= 0:
+                return counts
+        elif kind == "split" and len(parts) == 4:
+            feature, threshold = int(parts[2]), float(parts[3])
+            if feature >= 0 and np.isfinite(threshold):
+                return feature, threshold
+    except ValueError:
+        pass
+    raise ValueError(
+        f"tree line {number}: expected '<id> split <feature >= 0> <finite threshold>' "
+        f"or '<id> leaf' and {num_classes} counts >= 0, got {line.strip()!r}"
+    )
+
+
 def parse_tree(text: str, num_classes: int, min_leaf: int = 1) -> DecisionTree:
-    """Inverse of serialize_tree."""
-    lines = [line.split() for line in text.strip().splitlines()]
+    """Inverse of serialize_tree; a malformed line raises ValueError naming it."""
+    lines = text.strip().splitlines()
     pos = 0
 
     def build() -> TreeNode:
         nonlocal pos
         if pos >= len(lines):
             raise ValueError("truncated tree text")
-        parts = lines[pos]
+        parsed = _parse_line(pos + 1, lines[pos], num_classes)
         pos += 1
-        kind = parts[1]
-        if kind == "leaf":
-            counts = np.array([int(c) for c in parts[2:]], dtype=np.int64)
-            if counts.shape != (num_classes,):
-                raise ValueError(f"leaf line has {counts.size} counts, expected {num_classes}")
-            return TreeNode(counts)
-        if kind != "split":
-            raise ValueError(f"unknown node kind {kind!r}")
-        feature = int(parts[2])
-        threshold = float(parts[3])
+        if isinstance(parsed, np.ndarray):
+            return TreeNode(parsed)
         left = build()
         right = build()
         return TreeNode(
-            left.counts + right.counts, feature=feature, threshold=threshold, left=left, right=right
+            left.counts + right.counts, feature=parsed[0], threshold=parsed[1], left=left, right=right
         )
 
     root = build()

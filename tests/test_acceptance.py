@@ -47,6 +47,7 @@ class TestCriterion1BayesErrorOracle:
 
 
 class TestCriterion2RandomizedAccuracy:
+    @pytest.mark.slow
     def test_mean_test_accuracy(self, benchmark_reports):
         report = benchmark_reports[1]
         accuracy = report.randomized.envelope.accuracy
@@ -68,6 +69,7 @@ class TestCriterion3BayesianAccuracyDesk:
 
 
 class TestCriterion4ConfidentlyIncorrectComparison:
+    @pytest.mark.slow
     def test_bayesian_below_randomized_across_seeds(self, benchmark_reports):
         pairs = {
             seed: (
@@ -86,6 +88,7 @@ class TestCriterion4ConfidentlyIncorrectComparison:
 
 
 class TestCriterion5SizeComparison:
+    @pytest.mark.slow
     def test_bayesian_trees_smaller_across_seeds(self, benchmark_reports):
         pairs = {
             seed: (
@@ -309,6 +312,7 @@ class TestCriterion9EnvelopeInvariantSuite:
 
 
 class TestCriterion10EnsembleVsSingle:
+    @pytest.mark.slow
     def test_ensemble_beats_single_on_most_folds(self, benchmark_reports):
         folds = benchmark_reports[1].randomized.folds
         wins = sum(f.envelope.accuracy >= f.best_tree_test_accuracy for f in folds)

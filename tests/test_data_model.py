@@ -203,6 +203,9 @@ class TestBayesPosterior:
         )
         post = bayes_posterior(spec, (1e300, 1e300))
         assert post == pytest.approx([0.3, 0.7], abs=1e-12)
+        # a NaN coordinate makes every log density NaN
+        post = bayes_posterior(spec, (np.nan, 0.0))
+        assert post == pytest.approx([0.3, 0.7], abs=1e-12)
 
 
 def _quadrature_bayes_error(spec, lo=-2.5, hi=3.0, n=1201):

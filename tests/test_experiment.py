@@ -83,6 +83,9 @@ class TestConfig:
             ("[mcmc]\nchange_rule = inf\n", r"move probabilities must be finite"),
             ("[mcmc]\nalpha = nan\n", r"dirichlet_alpha"),
             ("[mcmc]\nalpha = inf\n", r"dirichlet_alpha"),
+            ("[randomized]\nn_trees = 0\n", r"n_trees >= 1"),
+            ("[randomized]\ntop_k = 0\n", r"top_k >= 1"),
+            ("[randomized]\nmin_leaf = -3\n", r"min_leaf >= 1"),
         ):
             with pytest.raises(ExperimentError, match=named):
                 parse_config(text)

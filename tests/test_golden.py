@@ -123,3 +123,12 @@ def test_emit_report_golden():
         )
         text = emit_report(run_experiment(config))
         assert _sha256(text) == pinned, f"{mode} report changed"
+
+
+# sha256 of the desk-preset report on the synthetic benchmark (seed 1):
+# 5-fold 50-tree ensembles and 10 restarts of 500 + 500 sampler steps
+DESK_REPORT_SHA256 = "ede9a73750602ab3344db5e07f47f3428f618271367b403b77917e638ad690f5"
+
+
+def test_desk_report_golden(desk_report):
+    assert _sha256(emit_report(desk_report)) == DESK_REPORT_SHA256

@@ -185,7 +185,7 @@ def make_dataset(seed, n, m, num_classes, grid):
 
 def check_state(tree, data, k_max, alpha):
     """Cached terms equal a from-scratch evaluation; returns the prior."""
-    cached_prior = _log_prior_cached(tree, k_max, data)
+    cached_prior = _log_prior_cached(tree, k_max)
     cached_lik = log_marginal_likelihood(tree, data, alpha)
     fresh = refresh_counts(tree, data)
     assert serialize_tree(fresh) == serialize_tree(tree)

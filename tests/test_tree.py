@@ -426,3 +426,14 @@ class TestSerialization:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_tree("0 blob 1 2\n", num_classes=2)
+        # each malformed line is named, not surfaced as an IndexError or accepted
+        for text, line in (
+            ("0 split 0\n1 leaf 1 1\n2 leaf 1 1\n", 1),
+            ("0\n", 1),
+            ("0 split 0 nan\n1 leaf 1 1\n2 leaf 1 1\n", 1),
+            ("0 split 0 0.5\n1 leaf -1 3\n2 leaf 1 1\n", 2),
+            ("0 split 0 0.5\n1 leaf 1 1\n2 split -1 0.5\n3 leaf 1 1\n4 leaf 0 2\n", 3),
+            ("0 split 0 0.5\n1 leaf 1 1\n2 leaf 1.5 1\n", 3),
+        ):
+            with pytest.raises(ValueError, match=f"tree line {line}:"):
+                parse_tree(text, num_classes=2)
