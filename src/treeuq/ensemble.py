@@ -67,8 +67,7 @@ def train_ensemble(
     """Grow config.n_trees randomised trees with independent seed streams.
 
     Per-tree seeds derive from config.seed as SeedSequence((seed, tree_index)),
-    so any tree is reproducible in isolation. Every tree records the resolved
-    min_leaf in ``DecisionTree.min_leaf``.
+    so any tree is reproducible in isolation.
     """
     min_leaf = config.min_leaf if config.min_leaf is not None else default_min_leaf(train.n)
     return tuple(
@@ -98,7 +97,7 @@ def ensemble_posterior_matrix(
     if mode not in ("average", "vote"):
         raise ValueError(f"unknown mode {mode!r}; expected 'vote' or 'average'")
     features = np.asarray(features, dtype=np.float64)
-    out = np.zeros((features.shape[0], trees[0].num_classes))
+    out = np.zeros((features.shape[0], trees[0].root.counts.size))
 
     distinct: dict[int, list] = {}
     for tree in trees:

@@ -35,7 +35,6 @@ class EnvelopeSummary:
     rate_uncertain: float
     rate_incorrect: float
     accuracy: float
-    n: int
     two_sigma_correct: float | None = None
     two_sigma_uncertain: float | None = None
     two_sigma_incorrect: float | None = None
@@ -91,7 +90,6 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
     predicted = np.argmax(posteriors, axis=1)
     confident = posteriors[np.arange(len(labels)), predicted] >= p0
     correct = predicted == labels
-    n = len(labels)
     rate_correct = float(np.mean(confident & correct))
     rate_incorrect = float(np.mean(confident & ~correct))
     return EnvelopeSummary(
@@ -99,7 +97,6 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
         rate_uncertain=float(np.mean(~confident)),
         rate_incorrect=rate_incorrect,
         accuracy=float(np.mean(correct)),
-        n=n,
     )
 
 
@@ -121,7 +118,6 @@ def cross_fold_summary(fold_summaries) -> EnvelopeSummary:
         rate_uncertain=float(uncertain.mean()),
         rate_incorrect=float(incorrect.mean()),
         accuracy=float(accuracy.mean()),
-        n=int(sum(f.n for f in folds)),
         two_sigma_correct=float(2.0 * correct.std(ddof=1)),
         two_sigma_uncertain=float(2.0 * uncertain.std(ddof=1)),
         two_sigma_incorrect=float(2.0 * incorrect.std(ddof=1)),

@@ -221,7 +221,6 @@ def render_config(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class FoldResult:
-    fold_index: int
     best_tree_test_accuracy: float
     envelope: EnvelopeSummary
 
@@ -288,7 +287,6 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
         all_trees.extend(trees)
         fold_results.append(
             FoldResult(
-                fold_index=f,
                 best_tree_test_accuracy=float(np.mean(best_tree_predicted == test.labels)),
                 envelope=envelope_rates(posteriors, test.labels, config.p0),
             )
@@ -357,36 +355,31 @@ def _pct(value: float, width: float | None = None) -> str:
     return f"{100.0 * value:.2f}±{100.0 * width:.2f}"
 
 
+def _row(
+    dataset: str, technique: str, result: RandomizedResult | BayesianResult, single_dt: str
+) -> dict[str, str]:
+    """One report row; a rate with no cross-fold width prints without one."""
+    e = result.envelope
+    return {
+        "dataset": dataset,
+        "technique": technique,
+        "single_dt": single_dt,
+        "size": f"{result.size_mean:.1f}±{result.size_std:.1f}",
+        "performance": _pct(e.accuracy, e.two_sigma_accuracy),
+        "correct": _pct(e.rate_correct, e.two_sigma_correct),
+        "uncertain": _pct(e.rate_uncertain, e.two_sigma_uncertain),
+        "incorrect": _pct(e.rate_incorrect, e.two_sigma_incorrect),
+    }
+
+
 def _report_rows(report: ExperimentReport) -> list[dict[str, str]]:
     rows = []
     if report.randomized is not None:
         r = report.randomized
-        rows.append(
-            {
-                "dataset": report.dataset_name,
-                "technique": "randomized",
-                "single_dt": _pct(r.best_single_accuracy, r.best_single_2sigma),
-                "size": f"{r.size_mean:.1f}±{r.size_std:.1f}",
-                "performance": _pct(r.envelope.accuracy, r.envelope.two_sigma_accuracy),
-                "correct": _pct(r.envelope.rate_correct, r.envelope.two_sigma_correct),
-                "uncertain": _pct(r.envelope.rate_uncertain, r.envelope.two_sigma_uncertain),
-                "incorrect": _pct(r.envelope.rate_incorrect, r.envelope.two_sigma_incorrect),
-            }
-        )
+        single_dt = _pct(r.best_single_accuracy, r.best_single_2sigma)
+        rows.append(_row(report.dataset_name, "randomized", r, single_dt))
     if report.bayesian is not None:
-        b = report.bayesian
-        rows.append(
-            {
-                "dataset": report.dataset_name,
-                "technique": "bayesian",
-                "single_dt": "",
-                "size": f"{b.size_mean:.1f}±{b.size_std:.1f}",
-                "performance": _pct(b.envelope.accuracy),
-                "correct": _pct(b.envelope.rate_correct),
-                "uncertain": _pct(b.envelope.rate_uncertain),
-                "incorrect": _pct(b.envelope.rate_incorrect),
-            }
-        )
+        rows.append(_row(report.dataset_name, "bayesian", report.bayesian, ""))
     return rows
 
 

@@ -50,11 +50,11 @@ Dataset, so the root's Dataset is the whole tree's. ``_ensure_cached`` is
 the only place that checks it: the public entry points use a tree as it is
 when its root is cached for the Dataset they are given, and otherwise
 re-route that Dataset through a copy first; every tree a chain builds has
-such a root, so a chain never re-routes. Nodes are immutable and keep their
-``indices``, so a term computed once stays exact, and path copies of an
-unchanged node carry it. The prior and the likelihood of a tree are the
-cached terms summed in preorder with the same float operations a
-from-scratch evaluation uses, so they are bit-identical to it; a move
+such a root, so a chain never re-routes. A node's structure, counts and
+``indices`` never change, so a term computed once stays exact, and path
+copies of an unchanged node carry it. The prior and the likelihood of a
+tree are the cached terms summed in preorder with the same float operations
+a from-scratch evaluation uses, so they are bit-identical to it; a move
 therefore only pays for the nodes it creates.
 """
 
@@ -70,7 +70,7 @@ from scipy.special import gammaln
 
 from .data import Dataset
 from .ensemble import ensemble_posterior_matrix
-from .tree import DecisionTree, TreeNode, tree_size, walk
+from .tree import DecisionTree, TreeNode, _check_features, tree_size, walk
 
 # Not used in this module: the benchmark's tracer (perfbench/tracing.py)
 # wraps this module's binding by name and reports a missing one.
@@ -195,10 +195,11 @@ def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
 def refresh_counts(tree: DecisionTree, data: Dataset) -> DecisionTree:
     """Re-route the training data through the tree, rebuilding counts/indices.
 
-    Every rebuilt node is cached for data, so the copy is trusted as it is.
+    Every rebuilt node is cached for data, so the copy is trusted as it is. A
+    split on a column that data lacks raises ValueError.
     """
-    root = _rebuild_subtree(tree.root, data, np.arange(data.n))
-    return DecisionTree(root=root, num_classes=data.num_classes, min_leaf=tree.min_leaf)
+    _check_features(tree, data.m)
+    return DecisionTree(_rebuild_subtree(tree.root, data, np.arange(data.n)))
 
 
 def _ensure_cached(tree: DecisionTree, data: Dataset) -> DecisionTree:
@@ -454,7 +455,7 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         log_ratio = math.log(menu_size) - math.log(old_menu_size) if kind == "change_variable" else 0.0
 
     new_root = _copy_replace(tree.root, target, replacement)
-    return Proposal(kind, DecisionTree(new_root, tree.num_classes, tree.min_leaf), log_ratio, True)
+    return Proposal(kind, DecisionTree(new_root), log_ratio, True)
 
 
 def _transition(tree, log_lik, log_pri, data, config, rng, loglik_fn):
@@ -493,7 +494,7 @@ def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
             continue
         root = _copy_replace(root, leaves[position], grown)
         leaves[position : position + 1] = [grown.left, grown.right]
-    return DecisionTree(root, data.num_classes)
+    return DecisionTree(root)
 
 
 def run_chain(

@@ -54,8 +54,10 @@ class TreeNode:
     sampler's trees keep them; prediction does not need them). ``cache`` is
     None except on the sampler's nodes, which are cached when they are made
     with values derived from the node's own fields and the Dataset they were
-    built on; the sampler checks that Dataset only at a tree's root. Nodes
-    are never mutated after construction, so those values stay exact.
+    built on; the sampler checks that Dataset only at a tree's root. A node's
+    structure, counts and indices never change after construction; the only
+    later write fills a sampler leaf's cache once, with a value derived from
+    them, so every cached value stays exact.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "counts", "indices", "cache")
@@ -76,11 +78,9 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Immutable binary classification tree."""
+    """Binary classification tree; its class count is the length of root.counts."""
 
     root: TreeNode
-    num_classes: int
-    min_leaf: int = 1
 
 
 def walk(root: TreeNode) -> tuple[list[TreeNode], list[TreeNode], list[TreeNode]]:
@@ -108,6 +108,13 @@ def walk(root: TreeNode) -> tuple[list[TreeNode], list[TreeNode], list[TreeNode]
 def tree_size(tree: DecisionTree) -> int:
     """Number of terminal nodes."""
     return len(walk(tree.root)[0])
+
+
+def _check_features(tree: DecisionTree, columns: int) -> None:
+    """Raise ValueError if a split of tree reads a column the data lacks."""
+    feature = max((node.feature for node in walk(tree.root)[1]), default=-1)
+    if feature >= columns:
+        raise ValueError(f"tree splits on feature {feature}, but the data has {columns} columns")
 
 
 def _entropy_bits(counts: np.ndarray) -> np.ndarray:
@@ -206,17 +213,20 @@ def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float
 
     Each row gets the class probabilities (n_c + alpha) / (n + C * alpha) of
     the leaf it reaches; ``alpha`` is the symmetric Dirichlet smoothing count,
-    and alpha=1 is Laplace smoothing.
+    and alpha=1 is Laplace smoothing. A split on a column that features lacks
+    raises ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
-    out = np.empty((features.shape[0], tree.num_classes))
+    _check_features(tree, features.shape[1])
+    num_classes = tree.root.counts.size
+    out = np.empty((features.shape[0], num_classes))
 
     def fill(node: TreeNode, rows: np.ndarray) -> None:
         if rows.size == 0:
             return
         if node.is_leaf:
             counts = node.counts.astype(np.float64)
-            out[rows] = (counts + alpha) / (counts.sum() + alpha * tree.num_classes)
+            out[rows] = (counts + alpha) / (counts.sum() + alpha * num_classes)
             return
         goes_left = features[rows, node.feature] <= node.threshold
         fill(node.left, rows[goes_left])
@@ -258,7 +268,7 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
         )
 
     root = build(np.arange(data.n))
-    return DecisionTree(root=root, num_classes=data.num_classes, min_leaf=min_leaf)
+    return DecisionTree(root)
 
 
 def serialize_tree(tree: DecisionTree) -> str:
@@ -305,7 +315,7 @@ def _parse_line(number: int, line: str, num_classes: int) -> tuple[int, float] |
     )
 
 
-def parse_tree(text: str, num_classes: int, min_leaf: int = 1) -> DecisionTree:
+def parse_tree(text: str, num_classes: int) -> DecisionTree:
     """Inverse of serialize_tree; a malformed line raises ValueError naming it."""
     lines = text.strip().splitlines()
     pos = 0
@@ -327,4 +337,4 @@ def parse_tree(text: str, num_classes: int, min_leaf: int = 1) -> DecisionTree:
     root = build()
     if pos != len(lines):
         raise ValueError("trailing lines after tree")
-    return DecisionTree(root=root, num_classes=num_classes, min_leaf=min_leaf)
+    return DecisionTree(root)

@@ -10,10 +10,13 @@ from treeuq import (
     TreeNode,
     best_single_tree,
     ensemble_posterior_matrix,
+    grow_randomized,
     leaf_posterior_matrix,
     make_benchmark_mixture,
     parse_tree,
+    propose_move,
     sample_mixture,
+    sample_prior_tree,
     serialize_tree,
     train_ensemble,
 )
@@ -23,7 +26,7 @@ def stump(class_index: int, total: int = 10, num_classes: int = 2) -> DecisionTr
     """Single-leaf tree voting for class_index."""
     counts = np.zeros(num_classes, dtype=np.int64)
     counts[class_index] = total
-    return DecisionTree(TreeNode(counts), num_classes=num_classes)
+    return DecisionTree(TreeNode(counts))
 
 
 def point_posterior(trees, x, mode, alpha=1.0):
@@ -42,7 +45,7 @@ class TestEnsemblePosterior:
 
     @pytest.mark.parametrize("alpha, expected", [(1.0, [4 / 6, 2 / 6]), (2.0, [5 / 8, 3 / 8])])
     def test_single_tree_is_its_smoothed_leaf(self, alpha, expected):
-        tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
+        tree = DecisionTree(TreeNode([3, 1]))
         assert point_posterior([tree], [0.0], "average", alpha) == pytest.approx(expected)
         assert point_posterior([tree] * 5, [0.0], "vote", alpha) == pytest.approx([1.0, 0.0])
 
@@ -58,19 +61,31 @@ class TestEnsemblePosterior:
     @pytest.mark.parametrize("mode", ["vote", "average"])
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_distinct_trees_match_a_plain_loop_bit_for_bit(self, mode, alpha):
-        data = sample_mixture(make_benchmark_mixture(), 120, 4)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=12, min_leaf=5, seed=3))
-        rows = np.arange(data.n)
-        expected = np.zeros((data.n, 2))
-        for tree in trees:
-            posterior = leaf_posterior_matrix(tree, data.features, alpha=alpha)
-            if mode == "average":
-                expected += posterior
-            else:
-                expected[rows, np.argmax(posterior, axis=1)] += 1.0
-        expected /= len(trees)
-        post = ensemble_posterior_matrix(trees, data.features, mode=mode, alpha=alpha)
-        assert np.array_equal(post, expected)
+        mixture = sample_mixture(make_benchmark_mixture(), 120, 4)
+        two_class = train_ensemble(mixture, EnsembleConfig(n_trees=12, min_leaf=5, seed=3))
+        # three classes, from growth, parsing and a sampler move: the class count comes from the trees
+        rng = np.random.default_rng(5)
+        three = Dataset(rng.standard_normal((60, 2)), np.arange(60) % 3, 3, ("a", "b"))
+        proposal = propose_move(sample_prior_tree(three, 6, 2), three, (1.0, 0.0, 0.0, 0.0), 3)
+        three_class = (
+            grow_randomized(three, min_leaf=3, seed=1),
+            parse_tree("0 split 1 0.0\n1 leaf 4 1 0\n2 leaf 0 2 7\n", 3),
+            proposal.tree,
+        )
+        for trees, data in ((two_class, mixture), (three_class, three)):
+            rows = np.arange(data.n)
+            expected = np.zeros((data.n, data.num_classes))
+            for tree in trees:
+                posterior = leaf_posterior_matrix(tree, data.features, alpha=alpha)
+                assert posterior.shape == (data.n, data.num_classes)
+                if mode == "average":
+                    expected += posterior
+                else:
+                    expected[rows, np.argmax(posterior, axis=1)] += 1.0
+            expected /= len(trees)
+            post = ensemble_posterior_matrix(trees, data.features, mode=mode, alpha=alpha)
+            assert post.shape == (data.n, data.num_classes)
+            assert np.array_equal(post, expected)
 
     @pytest.mark.parametrize("mode", ["vote", "average"])
     def test_repeated_tree_objects_weigh_like_distinct_copies(self, mode):
@@ -111,21 +126,29 @@ class TestEnsemblePosterior:
             ensemble_posterior_matrix([], [[0.0]])
 
 
+def grown_with(data, min_leaf: int, n_trees: int) -> list[str]:
+    """Serialised trees grown with min_leaf on train_ensemble's seed-0 streams."""
+    return [
+        serialize_tree(grow_randomized(data, min_leaf, seed=np.random.SeedSequence((0, i))))
+        for i in range(n_trees)
+    ]
+
+
 class TestTrainEnsemble:
     def test_small_train_uses_min_leaf_5(self):
         data = sample_mixture(make_benchmark_mixture(), 200, 1)
         trees = train_ensemble(data, EnsembleConfig(n_trees=3, seed=0))
-        assert [t.min_leaf for t in trees] == [5, 5, 5]
+        assert [serialize_tree(t) for t in trees] == grown_with(data, 5, 3) != grown_with(data, 30, 3)
 
     def test_large_train_uses_min_leaf_30(self):
         data = sample_mixture(make_benchmark_mixture(), 455, 1)
         trees = train_ensemble(data, EnsembleConfig(n_trees=2, seed=0))
-        assert [t.min_leaf for t in trees] == [30, 30]
+        assert [serialize_tree(t) for t in trees] == grown_with(data, 30, 2) != grown_with(data, 5, 2)
 
     def test_explicit_min_leaf_wins(self):
         data = sample_mixture(make_benchmark_mixture(), 400, 1)
         trees = train_ensemble(data, EnsembleConfig(n_trees=2, min_leaf=7, seed=0))
-        assert [t.min_leaf for t in trees] == [7, 7]
+        assert [serialize_tree(t) for t in trees] == grown_with(data, 7, 2) != grown_with(data, 30, 2)
 
     def test_same_seed_identical_ensemble(self):
         data = sample_mixture(make_benchmark_mixture(), 150, 2)
@@ -146,8 +169,7 @@ class TestBestSingleTree:
     def test_max_selection(self):
         # tree 0: always class 0 (50% here); tree 1: splits correctly (100%)
         good = DecisionTree(
-            TreeNode([1, 1], feature=0, threshold=0.5, left=TreeNode([1, 0]), right=TreeNode([0, 1])),
-            num_classes=2,
+            TreeNode([1, 1], feature=0, threshold=0.5, left=TreeNode([1, 0]), right=TreeNode([0, 1]))
         )
         index, accuracy = best_single_tree((stump(0), good, stump(0)), self._validation())
         assert (index, accuracy) == (1, 1.0)

@@ -105,7 +105,7 @@ class TestEnvelopeRates:
 
 
 class TestCrossFoldSummary:
-    def _fold(self, correct, uncertain, incorrect, accuracy=None, n=100):
+    def _fold(self, correct, uncertain, incorrect, accuracy=None):
         from treeuq import EnvelopeSummary
 
         return EnvelopeSummary(
@@ -113,7 +113,6 @@ class TestCrossFoldSummary:
             rate_uncertain=uncertain,
             rate_incorrect=incorrect,
             accuracy=accuracy if accuracy is not None else correct,
-            n=n,
         )
 
     def test_identical_folds_zero_widths(self):

@@ -185,9 +185,7 @@ def _summary(c, u, i, accuracy, widths=None):
             two_sigma_incorrect=widths[2],
             two_sigma_accuracy=widths[3],
         )
-    return EnvelopeSummary(
-        rate_correct=c, rate_uncertain=u, rate_incorrect=i, accuracy=accuracy, n=1000, **kwargs
-    )
+    return EnvelopeSummary(rate_correct=c, rate_uncertain=u, rate_incorrect=i, accuracy=accuracy, **kwargs)
 
 
 class TestEmitReport:

@@ -54,7 +54,7 @@ class TestMarginalLikelihood:
     def test_single_leaf_hand_value(self):
         # Gamma(2)/Gamma(6) * Gamma(4)*Gamma(2) = 6/120 = 1/20
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 1], 2, ("x",))
-        tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
+        tree = DecisionTree(TreeNode([3, 1]))
         value = log_marginal_likelihood(tree, data, alpha=1.0)
         assert value == pytest.approx(math.log(1 / 20), abs=1e-12)
         assert value == pytest.approx(-2.9957, abs=1e-4)
@@ -64,10 +64,9 @@ class TestMarginalLikelihood:
         # tree whose right leaf catches nothing scores like the single leaf
         data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 1], 2, ("x",))
         split = DecisionTree(
-            TreeNode([3, 1], feature=0, threshold=99.0, left=TreeNode([3, 1]), right=TreeNode([0, 0])),
-            num_classes=2,
+            TreeNode([3, 1], feature=0, threshold=99.0, left=TreeNode([3, 1]), right=TreeNode([0, 0]))
         )
-        single = DecisionTree(TreeNode([3, 1]), num_classes=2)
+        single = DecisionTree(TreeNode([3, 1]))
         assert log_marginal_likelihood(split, data, 1.0) == pytest.approx(
             log_marginal_likelihood(single, data, 1.0)
         )
@@ -108,8 +107,7 @@ class TestLogPrior:
                 DecisionTree(
                     TreeNode(
                         [0, 0], feature=0, threshold=float(t), left=TreeNode([0, 0]), right=TreeNode([0, 0])
-                    ),
-                    num_classes=2,
+                    )
                 ),
                 data,
             )
@@ -132,8 +130,7 @@ class TestLogPrior:
     def test_empty_leaf_is_outside_support(self):
         data = continuous_dataset(5, n=20)
         tree = DecisionTree(
-            TreeNode([0, 0], feature=0, threshold=1e9, left=TreeNode([0, 0]), right=TreeNode([0, 0])),
-            num_classes=2,
+            TreeNode([0, 0], feature=0, threshold=1e9, left=TreeNode([0, 0]), right=TreeNode([0, 0]))
         )
         assert log_prior(tree, 10, data) == -math.inf
 
@@ -142,8 +139,7 @@ class TestLogPrior:
         values = np.sort(np.unique(data.features[:, 0]))
         midpoint = float((values[3] + values[4]) / 2)  # between observed values
         tree = DecisionTree(
-            TreeNode([0, 0], feature=0, threshold=midpoint, left=TreeNode([0, 0]), right=TreeNode([0, 0])),
-            num_classes=2,
+            TreeNode([0, 0], feature=0, threshold=midpoint, left=TreeNode([0, 0]), right=TreeNode([0, 0]))
         )
         assert log_prior(tree, 10, data) == -math.inf
 
@@ -151,7 +147,7 @@ class TestLogPrior:
 class TestProposeMove:
     def test_birth_on_single_leaf(self):
         data = continuous_dataset(7)
-        tree = DecisionTree(TreeNode(data.class_counts(), indices=np.arange(data.n)), 2)
+        tree = DecisionTree(TreeNode(data.class_counts(), indices=np.arange(data.n)))
         proposal = propose_move(tree, data, (1.0, 0.0, 0.0, 0.0), 3)
         assert proposal.kind == "birth"
         assert proposal.feasible
@@ -159,14 +155,14 @@ class TestProposeMove:
 
     def test_death_on_single_leaf_infeasible(self):
         data = continuous_dataset(7)
-        tree = DecisionTree(TreeNode(data.class_counts(), indices=np.arange(data.n)), 2)
+        tree = DecisionTree(TreeNode(data.class_counts(), indices=np.arange(data.n)))
         proposal = propose_move(tree, data, (0.0, 1.0, 0.0, 0.0), 3)
         assert proposal.kind == "death"
         assert not proposal.feasible
 
     def test_change_on_single_leaf_infeasible(self):
         data = continuous_dataset(7)
-        tree = DecisionTree(TreeNode(data.class_counts(), indices=np.arange(data.n)), 2)
+        tree = DecisionTree(TreeNode(data.class_counts(), indices=np.arange(data.n)))
         for probs, kind in [((0, 0, 1.0, 0), "change_variable"), ((0, 0, 0, 1.0), "change_rule")]:
             proposal = propose_move(tree, data, probs, 3)
             assert proposal.kind == kind
@@ -342,18 +338,18 @@ class TestBayesPredictive:
         )
 
     def test_single_sample_equals_leaf_posterior(self):
-        tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
+        tree = DecisionTree(TreeNode([3, 1]))
         ens = self._posterior_ensemble([tree])
         assert bayes_predictive_matrix(ens, [[0.0]], mode="average")[0] == pytest.approx([4 / 6, 2 / 6])
 
     def test_average_of_mirrored_samples(self):
-        a = DecisionTree(TreeNode([5, 0]), num_classes=2)
-        b = DecisionTree(TreeNode([0, 5]), num_classes=2)
+        a = DecisionTree(TreeNode([5, 0]))
+        b = DecisionTree(TreeNode([0, 5]))
         post = bayes_predictive_matrix(self._posterior_ensemble([a, b]), [[0.0]], mode="average")[0]
         assert post == pytest.approx([0.5, 0.5])
 
     def test_identical_samples_vote_one_hot(self):
-        tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
+        tree = DecisionTree(TreeNode([3, 1]))
         post = bayes_predictive_matrix(self._posterior_ensemble([tree] * 5), [[0.0]], mode="vote")[0]
         assert post == pytest.approx([1.0, 0.0])
 
@@ -370,7 +366,7 @@ class TestBayesPredictive:
             bayes_predictive_matrix(PosteriorEnsemble(samples=()), [[0.0]])
 
     def test_dirichlet_alpha_changes_smoothing(self):
-        tree = DecisionTree(TreeNode([3, 1]), num_classes=2)
+        tree = DecisionTree(TreeNode([3, 1]))
         ens = self._posterior_ensemble([tree])
         post = bayes_predictive_matrix(ens, [[0.0]], mode="average", alpha=2.0)[0]
         assert post == pytest.approx([5 / 8, 3 / 8])
@@ -382,7 +378,7 @@ class TestEnsembleMeanSize:
             node = TreeNode([1, 1])
             for _ in range(k - 1):
                 node = TreeNode([1, 1], feature=0, threshold=0.0, left=TreeNode([1, 1]), right=node)
-            return DecisionTree(node, 2)
+            return DecisionTree(node)
 
         return [tree_of(k) for k in sizes]
 

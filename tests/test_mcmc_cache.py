@@ -103,7 +103,7 @@ def reference_move(tree, data, move_probs, seed):
 
     def proposed(node, new):
         new_root = reroute(replaced(root, node, new), data, np.arange(data.n))
-        return DecisionTree(new_root, tree.num_classes, tree.min_leaf)
+        return DecisionTree(new_root)
 
     if kind == "birth":
         leaf = leaves[rng.integers(len(leaves))]

@@ -14,8 +14,11 @@ from treeuq import (
     grow_randomized,
     information_gain,
     leaf_posterior_matrix,
+    log_marginal_likelihood,
+    log_prior,
     make_benchmark_mixture,
     parse_tree,
+    propose_move,
     sample_mixture,
     serialize_tree,
     top_k_splits,
@@ -291,7 +294,7 @@ class TestLeafPosterior:
     """Laplace smoothing (n_c + 1) / (n + C) of a single-leaf tree."""
 
     def leaf(self, counts):
-        return point_posterior(DecisionTree(TreeNode(counts), num_classes=len(counts)), [0.0])
+        return point_posterior(DecisionTree(TreeNode(counts)), [0.0])
 
     def test_laplace_smoothing(self):
         assert self.leaf([3, 1]) == pytest.approx([4 / 6, 2 / 6])
@@ -305,7 +308,7 @@ class TestLeafPosterior:
 
 class TestPredict:
     def test_single_leaf_tree(self):
-        tree = DecisionTree(TreeNode([9, 1]), num_classes=2)
+        tree = DecisionTree(TreeNode([9, 1]))
         assert point_posterior(tree, [0.0]) == pytest.approx([10 / 12, 2 / 12])
 
     def test_depth_one_routing(self):
@@ -316,16 +319,14 @@ class TestPredict:
                 threshold=0.5,
                 left=TreeNode([5, 0]),
                 right=TreeNode([0, 5]),
-            ),
-            num_classes=2,
+            )
         )
         assert point_posterior(tree, [0.4, 9.9])[0] == pytest.approx(6 / 7)
         assert point_posterior(tree, [0.6, -9.9])[1] == pytest.approx(6 / 7)
 
     def test_boundary_goes_left(self):
         tree = DecisionTree(
-            TreeNode([5, 5], feature=0, threshold=0.5, left=TreeNode([5, 0]), right=TreeNode([0, 5])),
-            num_classes=2,
+            TreeNode([5, 5], feature=0, threshold=0.5, left=TreeNode([5, 0]), right=TreeNode([0, 5]))
         )
         assert point_posterior(tree, [0.5])[0] == pytest.approx(6 / 7)
 
@@ -372,7 +373,7 @@ class TestGrowRandomized:
         tree = grow_randomized(data, min_leaf=5, seed=7)
         leaves, internals, _ = walk(tree.root)
         for node in leaves:
-            assert node.counts.sum() >= tree.min_leaf
+            assert node.counts.sum() >= 5
         for node in internals:
             assert np.array_equal(node.counts, node.left.counts + node.right.counts)
 
@@ -385,11 +386,11 @@ class TestGrowRandomized:
 
 class TestTreeSize:
     def test_single_leaf(self):
-        assert tree_size(DecisionTree(TreeNode([1, 1]), 2)) == 1
+        assert tree_size(DecisionTree(TreeNode([1, 1]))) == 1
 
     def test_depth_one(self):
         tree = DecisionTree(
-            TreeNode([2, 2], feature=0, threshold=0.0, left=TreeNode([2, 0]), right=TreeNode([0, 2])), 2
+            TreeNode([2, 2], feature=0, threshold=0.0, left=TreeNode([2, 0]), right=TreeNode([0, 2]))
         )
         assert tree_size(tree) == 2
         leaves, internals, prunable = walk(tree.root)
@@ -404,7 +405,7 @@ class TestTreeSize:
                 [1, 1], feature=0, threshold=0.0, left=complete(depth - 1), right=complete(depth - 1)
             )
 
-        tree = DecisionTree(complete(3), 2)
+        tree = DecisionTree(complete(3))
         assert tree_size(tree) == 8
         leaves, internals, prunable = walk(tree.root)
         assert (len(leaves), len(internals), len(prunable)) == (8, 7, 4)
@@ -418,7 +419,7 @@ class TestSerialization:
         data = sample_mixture(make_benchmark_mixture(), 90, 12)
         tree = grow_randomized(data, min_leaf=4, seed=3)
         text = serialize_tree(tree)
-        back = parse_tree(text, num_classes=2, min_leaf=tree.min_leaf)
+        back = parse_tree(text, num_classes=2)
         assert serialize_tree(back) == text
         rows = data.features[:10]
         assert leaf_posterior_matrix(back, rows) == pytest.approx(leaf_posterior_matrix(tree, rows))
@@ -437,3 +438,15 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError, match=f"tree line {line}:"):
                 parse_tree(text, num_classes=2)
+        # a split on a column the data lacks parses, and each entry point that
+        # routes data through the tree names the feature, not an IndexError
+        outside = parse_tree("0 split 5 0.5\n1 leaf 1 1\n2 leaf 1 1\n", num_classes=2)
+        data = Dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1], 2, ("a", "b"))
+        for use in (
+            lambda: leaf_posterior_matrix(outside, data.features),
+            lambda: log_prior(outside, 10, data),
+            lambda: log_marginal_likelihood(outside, data),
+            lambda: propose_move(outside, data, (0.25, 0.25, 0.25, 0.25), 0),
+        ):
+            with pytest.raises(ValueError, match="feature 5, but the data has 2 columns"):
+                use()
