@@ -296,26 +296,28 @@ def sample_mixture(spec: GaussianMixtureSpec, n: int, seed) -> Dataset:
     )
 
 
-def _component_log_densities(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarray:
-    """log(weight * N(x; mean, scale*I)) for each (point, component)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+def bayes_posterior(spec: GaussianMixtureSpec, points) -> np.ndarray:
+    """Exact P(class | x) under the mixture for each row of points, (n, C).
+
+    Each row is evaluated on its own, so a row's posterior does not depend on
+    the batch it comes in. A row where every component density underflows,
+    or where a coordinate is NaN, gets the class priors.
+    """
+    points = np.asarray(points, dtype=np.float64)
     means = np.array([c.mean for c in spec.components])
+    d = means.shape[1]
+    if points.ndim != 2 or points.shape[1] != d:
+        raise ValueError(f"points must be rows of {d} coordinates, got shape {points.shape}")
     scales = np.array([c.cov_scale for c in spec.components])
     weights = np.array([c.weight for c in spec.components])
-    d = points.shape[1]
+    # log(weight * N(x; mean, scale*I)) for each (point, component)
     with np.errstate(over="ignore"):
         sq = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        return (
+        logd = (
             np.log(weights)[None, :]
             - 0.5 * d * np.log(2.0 * np.pi * scales)[None, :]
             - 0.5 * sq / scales[None, :]
         )
-
-
-def _posterior_matrix(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarray:
-    """Exact class posteriors for a batch of points, (n, C)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    logd = _component_log_densities(spec, points)
     classes = np.array([c.class_index for c in spec.components])
     num_classes = spec.num_classes
     shift = logd.max(axis=1, keepdims=True)
@@ -330,21 +332,12 @@ def _posterior_matrix(spec: GaussianMixtureSpec, points: np.ndarray) -> np.ndarr
     return np.where(total > 0, per_class / np.where(total > 0, total, 1.0), priors[None, :])
 
 
-def bayes_posterior(spec: GaussianMixtureSpec, x) -> np.ndarray:
-    """Exact P(class | x) under the mixture.
-
-    Falls back to the class priors if every component density underflows.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    return _posterior_matrix(spec, x[None, :])[0]
-
-
 def estimate_bayes_error(spec: GaussianMixtureSpec, n: int, seed) -> float:
     """Monte-Carlo error rate of the Bayes-optimal (argmax posterior) rule."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     data = sample_mixture(spec, n, seed)
-    predicted = np.argmax(_posterior_matrix(spec, data.features), axis=1)
+    predicted = np.argmax(bayes_posterior(spec, data.features), axis=1)
     return float(np.mean(predicted != data.labels))
 
 

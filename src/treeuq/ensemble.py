@@ -90,19 +90,22 @@ def ensemble_posterior_matrix(
     ties break toward the lower class index). average: mean of the per-tree
     leaf posteriors (n_c + alpha)/(n + C*alpha). A tree object that occurs
     several times (a rejected MH step keeps its state) is evaluated once and
-    weighted by its number of occurrences.
+    weighted by its number of occurrences. Every tree must have the class
+    count of the first, or ValueError names the first that does not.
     """
     if len(trees) < 1:
         raise ValueError("ensemble is empty")
     if mode not in ("average", "vote"):
         raise ValueError(f"unknown mode {mode!r}; expected 'vote' or 'average'")
-    features = np.asarray(features, dtype=np.float64)
-    out = np.zeros((features.shape[0], trees[0].root.counts.size))
-
+    num_classes = trees[0].root.counts.size
     distinct: dict[int, list] = {}
-    for tree in trees:
+    for i, tree in enumerate(trees):
+        if tree.root.counts.size != num_classes:
+            raise ValueError(f"tree {i} has {tree.root.counts.size} classes, but tree 0 has {num_classes}")
         distinct.setdefault(id(tree), [tree, 0])[1] += 1
 
+    features = np.asarray(features, dtype=np.float64)
+    out = np.zeros((features.shape[0], num_classes))
     rows = np.arange(features.shape[0])
     for tree, weight in distinct.values():
         posterior = leaf_posterior_matrix(tree, features, alpha=alpha)

@@ -18,6 +18,7 @@ import configparser
 import io
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,7 +58,11 @@ class ExperimentError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    ``seed`` is the only seed in force: ``run_experiment`` replaces
+    ``randomized.seed`` and ``mcmc.seed`` with seeds it derives from it.
+    """
 
     dataset: str = "synthetic"
     csv_path: str | None = None
@@ -309,7 +314,8 @@ def _run_bayesian(
 ) -> BayesianResult:
     seed = int(np.random.SeedSequence((config.seed, 4)).generate_state(1)[0])
     mcmc_config = replace(config.mcmc, seed=seed)
-    ens = run_with_restarts(train, mcmc_config, trace_path=trace_path)
+    with open(trace_path, "w", encoding="utf-8") if trace_path is not None else nullcontext() as trace:
+        ens = run_with_restarts(train, mcmc_config, trace=trace)
     posteriors = bayes_predictive_matrix(
         ens, test.features, mode=config.envelope_mode, alpha=mcmc_config.dirichlet_alpha
     )
@@ -326,7 +332,9 @@ def run_experiment(config: ExperimentConfig, mcmc_trace_path=None) -> Experiment
     """Run the configured techniques and assemble the report.
 
     Every number in the report is determined by (config, config.seed); wall
-    times live only in runtime_seconds and never reach emitted reports.
+    times live only in runtime_seconds and never reach emitted reports. The
+    chains' trace goes to mcmc_trace_path, which is opened only when the
+    Bayesian technique runs.
     """
     dataset_name, train, test = _load_experiment_data(config)
     if config.p0 <= p_min(train.num_classes):

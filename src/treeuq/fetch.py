@@ -1,7 +1,7 @@
 """Download benchmark datasets and convert them to the ingestion CSV schema.
 
 Raw files are fetched once into a local cache (``TREEUQ_CACHE`` overrides the
-location), verified against a sha256 digest when one is available, and
+location), verified against a sha256 digest when the caller gives one, and
 rewritten as a headered CSV with the label in a trailing 'class' column so
 ``load_csv`` can ingest them.
 """
@@ -30,13 +30,12 @@ class FetchError(RuntimeError):
 class DatasetSource:
     """How to obtain and convert one known dataset.
 
-    checksum is the sha256 of the concatenated raw files; None skips
-    verification (the historical UCI files ship without published digests).
+    No entry carries a digest: the historical UCI files ship without
+    published ones, so ``fetch_dataset(checksum=)`` is the way to pass one.
     """
 
     urls: tuple[str, ...]
     label_column: int
-    checksum: str | None = None
     delimiter: str = ","
     skip_rows: int = 0
     drop_columns: tuple[int, ...] = ()
@@ -147,9 +146,9 @@ def fetch_dataset(name: str, url: str | None = None, checksum: str | None = None
 
     Args:
         name: a key of KNOWN_DATASETS.
-        url: override for the registry's (first) source URL.
-        checksum: sha256 hex digest of the concatenated raw files; overrides
-            the registry entry.
+        url: override for the registry's source URLs (one URL replaces them all).
+        checksum: sha256 hex digest of the concatenated raw files; None skips
+            verification.
         dest: target path for the converted CSV (default: the cache).
     """
     try:
@@ -160,18 +159,17 @@ def fetch_dataset(name: str, url: str | None = None, checksum: str | None = None
 
     if url is not None:
         source = replace(source, urls=(url,))
-    digest = checksum if checksum is not None else source.checksum
 
     dest = Path(dest) if dest is not None else cache_dir() / f"{name}.csv"
     if dest.exists():
         return dest
 
     raw = b"".join(_download(u) for u in source.urls)
-    if digest is not None:
+    if checksum is not None:
         actual = hashlib.sha256(raw).hexdigest()
-        if actual != digest:
+        if actual != checksum:
             raise FetchError(
-                f"{name}: checksum mismatch: expected {digest}, got {actual}; nothing cached"
+                f"{name}: checksum mismatch: expected {checksum}, got {actual}; nothing cached"
             )
     converted = _convert(name, source, raw)
 

@@ -291,12 +291,7 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
     Support requires: leaf count <= k_max, no empty leaf, and every internal
     node's threshold taken from its own split menu.
     """
-    return _log_prior_cached(_ensure_cached(tree, data), k_max)
-
-
-def _log_prior_cached(tree: DecisionTree, k_max: int) -> float:
-    """log_prior of a tree whose nodes are cached for the Dataset in question."""
-    leaves, internals, _ = walk(tree.root)
+    leaves, internals, _ = walk(_ensure_cached(tree, data).root)
     if len(leaves) > k_max or any(leaf.indices.size == 0 for leaf in leaves):
         return -math.inf
     log_rules = 0.0
@@ -467,7 +462,7 @@ def _transition(tree, log_lik, log_pri, data, config, rng, loglik_fn):
     u = rng.random()  # drawn for every feasible proposal, in the support or not
     if proposal.tree is None:
         return state
-    new_pri = _log_prior_cached(proposal.tree, config.max_leaves)
+    new_pri = log_prior(proposal.tree, config.max_leaves, data)
     if new_pri == -math.inf:
         return state
     new_lik = loglik_fn(proposal.tree, data, config.dirichlet_alpha)
@@ -516,7 +511,7 @@ def run_chain(
     loglik = loglik_fn if loglik_fn is not None else log_marginal_likelihood
     tree = sample_prior_tree(data, config.max_leaves, rng)
     log_lik = loglik(tree, data, config.dirichlet_alpha)
-    log_pri = _log_prior_cached(tree, config.max_leaves)
+    log_pri = log_prior(tree, config.max_leaves, data)
 
     samples: list[ChainSample] = []
     # burn-in steps are numbered 1 - burn_in .. 0, retained ones 1 .. post_burn_in
@@ -531,28 +526,25 @@ def run_chain(
     return samples
 
 
-def run_with_restarts(data: Dataset, config: McmcConfig, trace_path=None) -> PosteriorEnsemble:
+def run_with_restarts(data: Dataset, config: McmcConfig, trace=None) -> PosteriorEnsemble:
     """Pool retained samples from config.restarts independent chains.
 
     Chain seeds derive from config.seed as SeedSequence((seed, restart)), so
-    the pooled ensemble does not depend on execution order.
+    the pooled ensemble does not depend on execution order. ``trace`` is an
+    optional writable text stream passed to every ``run_chain``, so it gets
+    each restart's lines in restart order; the caller opens and closes it.
     """
-    trace = open(trace_path, "w", encoding="utf-8") if trace_path is not None else None
-    try:
-        samples: list[ChainSample] = []
-        for restart in range(config.restarts):
-            samples.extend(
-                run_chain(
-                    data,
-                    config,
-                    restart_index=restart,
-                    seed=np.random.SeedSequence((config.seed, restart)),
-                    trace=trace,
-                )
+    samples: list[ChainSample] = []
+    for restart in range(config.restarts):
+        samples.extend(
+            run_chain(
+                data,
+                config,
+                restart_index=restart,
+                seed=np.random.SeedSequence((config.seed, restart)),
+                trace=trace,
             )
-    finally:
-        if trace is not None:
-            trace.close()
+        )
     return PosteriorEnsemble(samples=tuple(samples))
 
 

@@ -213,10 +213,12 @@ def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float
 
     Each row gets the class probabilities (n_c + alpha) / (n + C * alpha) of
     the leaf it reaches; ``alpha`` is the symmetric Dirichlet smoothing count,
-    and alpha=1 is Laplace smoothing. A split on a column that features lacks
-    raises ValueError.
+    and alpha=1 is Laplace smoothing. Features that are not 2-D, or a split
+    on a column that features lacks, raise ValueError.
     """
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D (rows, columns), got shape {features.shape}")
     _check_features(tree, features.shape[1])
     num_classes = tree.root.counts.size
     out = np.empty((features.shape[0], num_classes))

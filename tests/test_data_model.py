@@ -163,14 +163,14 @@ class TestSampleMixture:
 
 class TestBayesPosterior:
     def test_class_zero_dominates_at_its_centre(self):
-        post = bayes_posterior(make_benchmark_mixture(), (1.0, 1.0))
+        post = bayes_posterior(make_benchmark_mixture(), [(1.0, 1.0)])[0]
         assert post[0] > 0.5
 
     def test_sums_to_one(self):
         spec = make_benchmark_mixture()
         rng = np.random.default_rng(1)
         for x in rng.uniform(-1, 2, size=(20, 2)):
-            assert abs(bayes_posterior(spec, x).sum() - 1.0) <= 1e-12
+            assert abs(bayes_posterior(spec, [x])[0].sum() - 1.0) <= 1e-12
 
     def test_symmetric_spec_midpoint(self):
         spec = GaussianMixtureSpec(
@@ -179,7 +179,7 @@ class TestBayesPosterior:
                 MixtureComponent(0.5, (1.0, 0.0), 0.5, 1),
             )
         )
-        post = bayes_posterior(spec, (0.0, 0.0))
+        post = bayes_posterior(spec, [(0.0, 0.0)])[0]
         assert post == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_distant_point_resolved_in_log_space(self):
@@ -190,7 +190,7 @@ class TestBayesPosterior:
                 MixtureComponent(0.7, (1.0, 1.0), 1e-6, 1),
             )
         )
-        post = bayes_posterior(spec, (1e6, 1e6))
+        post = bayes_posterior(spec, [(1e6, 1e6)])[0]
         assert post == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_underflow_falls_back_to_class_priors(self):
@@ -201,11 +201,33 @@ class TestBayesPosterior:
                 MixtureComponent(0.7, (1.0, 1.0), 1e-6, 1),
             )
         )
-        post = bayes_posterior(spec, (1e300, 1e300))
+        post = bayes_posterior(spec, [(1e300, 1e300)])[0]
         assert post == pytest.approx([0.3, 0.7], abs=1e-12)
         # a NaN coordinate makes every log density NaN
-        post = bayes_posterior(spec, (np.nan, 0.0))
+        post = bayes_posterior(spec, [(np.nan, 0.0)])[0]
         assert post == pytest.approx([0.3, 0.7], abs=1e-12)
+
+    def test_batch_rows_equal_rows_alone(self):
+        # one row of each branch: a finite maximum, an underflow and a NaN
+        spec = GaussianMixtureSpec(
+            components=(
+                MixtureComponent(0.3, (0.0, 0.0), 1e-2, 0),
+                MixtureComponent(0.7, (1.0, 1.0), 1e-2, 1),
+            )
+        )
+        rows = np.array([(0.4, 0.6), (1e300, 1e300), (np.nan, 0.0)])
+        batch = bayes_posterior(spec, rows)
+        assert batch.shape == (3, 2)
+        alone = np.vstack([bayes_posterior(spec, row[None, :]) for row in rows])
+        assert np.array_equal(batch, alone)
+        assert 0.0 < batch[0, 0] < 1.0
+        assert batch[1:].tolist() == [[0.3, 0.7], [0.3, 0.7]]
+
+    def test_points_must_be_rows_of_the_mixture_dimension(self):
+        # one point alone, or a row of the wrong width, is an error, not a broadcast
+        for points in ([1.0, 1.0], [[1.0]], [[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]):
+            with pytest.raises(ValueError, match="rows of 2 coordinates"):
+                bayes_posterior(make_benchmark_mixture(), points)
 
 
 def _quadrature_bayes_error(spec, lo=-2.5, hi=3.0, n=1201):
@@ -232,6 +254,10 @@ class TestEstimateBayesError:
         exact = _quadrature_bayes_error(spec)
         sigma = math.sqrt(exact * (1 - exact) / n)
         assert abs(mc - exact) < 4 * sigma
+
+    def test_pinned_value(self):
+        # any change to the oracle's arithmetic or to its sampling moves this value
+        assert estimate_bayes_error(make_benchmark_mixture(), 10**5, seed=3) == 0.07817
 
     def test_separable_classes_near_zero(self):
         spec = GaussianMixtureSpec(

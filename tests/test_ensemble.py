@@ -20,6 +20,7 @@ from treeuq import (
     serialize_tree,
     train_ensemble,
 )
+from treeuq import ensemble
 
 
 def stump(class_index: int, total: int = 10, num_classes: int = 2) -> DecisionTree:
@@ -124,6 +125,18 @@ class TestEnsemblePosterior:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ensemble_posterior_matrix([], [[0.0]])
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    def test_class_count_mismatch_names_the_tree_before_routing(self, mode, monkeypatch):
+        def must_not_route(*args, **kwargs):
+            raise AssertionError("a tree was routed before the class counts were checked")
+
+        monkeypatch.setattr(ensemble, "leaf_posterior_matrix", must_not_route)
+        two, three = stump(0), stump(2, num_classes=3)
+        with pytest.raises(ValueError, match="tree 2 has 3 classes, but tree 0 has 2"):
+            ensemble_posterior_matrix([two, two, three], [[0.0]], mode=mode)
+        with pytest.raises(ValueError, match="tree 1 has 2 classes, but tree 0 has 3"):
+            ensemble_posterior_matrix([three, two], [[0.0]], mode=mode)
 
 
 def grown_with(data, min_leaf: int, n_trees: int) -> list[str]:

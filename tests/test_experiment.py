@@ -19,6 +19,7 @@ from treeuq import (
     make_benchmark_mixture,
     parse_config,
     render_config,
+    run_chain,
     run_experiment,
     sample_mixture,
     write_csv,
@@ -174,6 +175,21 @@ class TestRunExperiment:
         run_experiment(config, mcmc_trace_path=trace)
         lines = trace.read_text().strip().splitlines()
         assert len(lines) == config.mcmc.restarts * config.mcmc.post_burn_in
+        # the file holds each restart's run_chain lines, in restart order; the
+        # training set and the chain seed are derived as run_experiment does
+        train_seed, mcmc_seed = (np.random.SeedSequence((config.seed, s)) for s in (0, 4))
+        train = sample_mixture(make_benchmark_mixture(), config.train_count, train_seed)
+        mcmc_config = replace(config.mcmc, seed=int(mcmc_seed.generate_state(1)[0]))
+        expected = io.StringIO()
+        for restart in range(config.mcmc.restarts):
+            seed = np.random.SeedSequence((mcmc_config.seed, restart))
+            run_chain(train, mcmc_config, restart_index=restart, seed=seed, trace=expected)
+        assert trace.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_randomized_run_writes_no_trace(self, tmp_path):
+        trace = tmp_path / "bayes.trace"
+        run_experiment(tiny_config(technique="randomized"), mcmc_trace_path=trace)
+        assert not trace.exists()
 
 
 def _summary(c, u, i, accuracy, widths=None):

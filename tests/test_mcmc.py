@@ -1,5 +1,6 @@
 """Tree-space sampler: likelihood, prior, moves, chains, and predictions."""
 
+import io
 import itertools
 import math
 
@@ -318,12 +319,12 @@ class TestRunWithRestarts:
             )
             assert [serialize_tree(s.tree) for s in block] == [serialize_tree(s.tree) for s in alone]
 
-    def test_trace_file(self, tmp_path):
+    def test_trace_file(self):
         data = continuous_dataset(9, n=25)
         config = McmcConfig(restarts=2, burn_in=5, post_burn_in=10, max_leaves=5, seed=6)
-        trace = tmp_path / "chain.trace"
-        ens = run_with_restarts(data, config, trace_path=trace)
-        lines = trace.read_text().strip().splitlines()
+        trace = io.StringIO()
+        ens = run_with_restarts(data, config, trace=trace)
+        lines = trace.getvalue().strip().splitlines()
         assert len(lines) == ens.n
         restart, step, leaves, log_post = lines[0].split()
         assert (int(restart), int(step)) == (0, 1)

@@ -31,7 +31,7 @@ from treeuq import (
     tree_size,
 )
 from treeuq import mcmc
-from treeuq.mcmc import _log_prior_cached, dirichlet_multinomial_log_marginal
+from treeuq.mcmc import dirichlet_multinomial_log_marginal
 from treeuq.tree import TreeNode, walk
 
 ALL_KINDS = (0.25, 0.25, 0.25, 0.25)
@@ -185,7 +185,7 @@ def make_dataset(seed, n, m, num_classes, grid):
 
 def check_state(tree, data, k_max, alpha):
     """Cached terms equal a from-scratch evaluation; returns the prior."""
-    cached_prior = _log_prior_cached(tree, k_max)
+    cached_prior = log_prior(tree, k_max, data)
     cached_lik = log_marginal_likelihood(tree, data, alpha)
     fresh = refresh_counts(tree, data)
     assert serialize_tree(fresh) == serialize_tree(tree)

@@ -10,6 +10,7 @@ from treeuq import (
     DecisionTree,
     SplitRule,
     TreeNode,
+    ensemble_posterior_matrix,
     enumerate_splits,
     grow_randomized,
     information_gain,
@@ -329,6 +330,13 @@ class TestPredict:
             TreeNode([5, 5], feature=0, threshold=0.5, left=TreeNode([5, 0]), right=TreeNode([0, 5]))
         )
         assert point_posterior(tree, [0.5])[0] == pytest.approx(6 / 7)
+
+    def test_one_dimensional_features_rejected(self):
+        split = TreeNode([5, 5], feature=0, threshold=0.5, left=TreeNode([5, 0]), right=TreeNode([0, 5]))
+        for tree in (DecisionTree(TreeNode([9, 1])), DecisionTree(split)):
+            for score in (leaf_posterior_matrix, lambda t, x: ensemble_posterior_matrix([t], x)):
+                with pytest.raises(ValueError, match=r"must be 2-D .* shape \(3,\)"):
+                    score(tree, np.array([0.1, 0.6, 0.9]))
 
     def test_matrix_agrees_with_pointwise(self):
         # route each training row down the grown tree by hand: every leaf must
