@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .tree import DecisionTree, grow_randomized, leaf_posterior_matrix, tree_size
+from .tree import DecisionTree, _feature_matrix, grow_randomized, leaf_posterior_matrix, tree_size
 
 __all__ = [
     "EnsembleConfig",
@@ -91,7 +91,8 @@ def ensemble_posterior_matrix(
     leaf posteriors (n_c + alpha)/(n + C*alpha). A tree object that occurs
     several times (a rejected MH step keeps its state) is evaluated once and
     weighted by its number of occurrences. Every tree must have the class
-    count of the first, or ValueError names the first that does not.
+    count of the first, or ValueError names the first that does not; features
+    that are not 2-D raise ValueError naming the shape.
     """
     if len(trees) < 1:
         raise ValueError("ensemble is empty")
@@ -104,7 +105,7 @@ def ensemble_posterior_matrix(
             raise ValueError(f"tree {i} has {tree.root.counts.size} classes, but tree 0 has {num_classes}")
         distinct.setdefault(id(tree), [tree, 0])[1] += 1
 
-    features = np.asarray(features, dtype=np.float64)
+    features = _feature_matrix(features)
     out = np.zeros((features.shape[0], num_classes))
     rows = np.arange(features.shape[0])
     for tree, weight in distinct.values():

@@ -38,24 +38,23 @@ cannot empty a leaf or push a threshold off its menu. Menus come from
 menu is sorted, and a drawn threshold is the float np.unique of the node's
 values would give, down to the sign of a zero.
 
-Cache invariant: a node's ``cache`` slot holds terms derived from the node's
-own fields and one Dataset, and the Dataset is stored with them. An internal
-node keeps ``(data, menu size, log(m * menu size))`` with ``None`` for the
-log term when its threshold is off its menu; a leaf keeps ``(data, alpha,
-Dirichlet-multinomial log marginal of its counts)``, or ``(data, None,
-None)`` until it is first scored (a leaf scored with another alpha is
-scored again). Every node the sampler builds is cached for the Dataset it
-is built on when it is made, and a tree's nodes are all built on one
-Dataset, so the root's Dataset is the whole tree's. ``_ensure_cached`` is
-the only place that checks it: the public entry points use a tree as it is
-when its root is cached for the Dataset they are given, and otherwise
-re-route that Dataset through a copy first; every tree a chain builds has
-such a root, so a chain never re-routes. A node's structure, counts and
-``indices`` never change, so a term computed once stays exact, and path
-copies of an unchanged node carry it. The prior and the likelihood of a
-tree are the cached terms summed in preorder with the same float operations
-a from-scratch evaluation uses, so they are bit-identical to it; a move
-therefore only pays for the nodes it creates.
+Cache invariant: a builder sets a node's ``cache`` slot once, when it makes
+the node, and nothing writes to the node afterwards. The slot holds the
+Dataset the node is built on, and for an internal node the terms derived
+from its own fields and that Dataset: ``(data, menu size, log(m * menu
+size))``, with ``None`` for the log term when its threshold is off its
+menu. A leaf keeps ``(data,)`` alone; the likelihood scores all leaf counts
+of a tree in one batch. A tree's nodes are all built on one Dataset, so the
+root's Dataset is the whole tree's. ``_ensure_cached`` is the only place
+that checks it: the public entry points use a tree as it is when its root
+is cached for the Dataset they are given, and otherwise re-route that
+Dataset through a copy first; every tree a chain builds has such a root, so
+a chain never re-routes. A node's structure, counts and ``indices`` never
+change, so a term computed once stays exact, and path copies of an
+unchanged node carry it. The prior of a tree is the cached terms summed in
+preorder with the same float operations a from-scratch evaluation uses, so
+it is bit-identical to it; a move therefore only pays for the nodes it
+creates and for one batch of leaf terms.
 """
 
 from __future__ import annotations
@@ -167,29 +166,21 @@ class Proposal:
     feasible: bool
 
 
-def _leaf_log_marginals(counts, alpha: float) -> np.ndarray:
-    """Per-row terms of dirichlet_multinomial_log_marginal.
-
-    A row's term does not depend on the other rows, so terms computed in
-    different batches are bit-identical to those of one batch.
-    """
-    counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-    num_classes = counts.shape[1]
-    totals = counts.sum(axis=1)
-    return (
-        gammaln(num_classes * alpha)
-        - gammaln(totals + num_classes * alpha)
-        + (gammaln(counts + alpha) - gammaln(alpha)).sum(axis=1)
-    )
-
-
 def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
     """Log marginal likelihood of class-count rows under Dirichlet(alpha) rates.
 
     Each row contributes log[Gamma(C*a)/Gamma(n+C*a) * prod_c Gamma(n_c+a)/Gamma(a)];
     an all-zero row contributes 0.
     """
-    return float(_leaf_log_marginals(counts, alpha).sum())
+    counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
+    num_classes = counts.shape[1]
+    totals = counts.sum(axis=1)
+    terms = (
+        gammaln(num_classes * alpha)
+        - gammaln(totals + num_classes * alpha)
+        + (gammaln(counts + alpha) - gammaln(alpha)).sum(axis=1)
+    )
+    return float(terms.sum())
 
 
 def refresh_counts(tree: DecisionTree, data: Dataset) -> DecisionTree:
@@ -209,9 +200,12 @@ def _ensure_cached(tree: DecisionTree, data: Dataset) -> DecisionTree:
 
 
 def _leaf(counts, indices: np.ndarray, data: Dataset) -> TreeNode:
-    """A leaf holding the given rows of data; its term is computed on first use."""
+    """A leaf holding the given rows of data, cached as ``(data,)``.
+
+    A root can be a leaf, and ``_ensure_cached`` reads the root's Dataset.
+    """
     leaf = TreeNode(counts, indices=indices)
-    leaf.cache = (data, None, None)
+    leaf.cache = (data,)
     return leaf
 
 
@@ -266,23 +260,10 @@ def _rule_cache(data: Dataset, indices: np.ndarray, feature: int, threshold: flo
     return data, menu_size, math.log(data.m * menu_size) if on_menu else None
 
 
-def _leaf_terms(leaves: list[TreeNode], data: Dataset, alpha: float) -> list[float]:
-    """Cached Dirichlet-multinomial term of each leaf; missing ones in one batch.
-
-    The leaves are cached for data; a leaf not yet scored holds alpha None.
-    """
-    stale = [leaf for leaf in leaves if leaf.cache[1] != alpha]
-    if stale:
-        terms = _leaf_log_marginals([leaf.counts for leaf in stale], alpha)
-        for leaf, term in zip(stale, terms.tolist()):
-            leaf.cache = (data, alpha, term)
-    return [leaf.cache[2] for leaf in leaves]
-
-
 def log_marginal_likelihood(tree: DecisionTree, data: Dataset, alpha: float = 1.0) -> float:
     """Dirichlet-multinomial log marginal likelihood of the tree's partition."""
     leaves, _, _ = walk(_ensure_cached(tree, data).root)
-    return float(np.array(_leaf_terms(leaves, data, alpha)).sum())
+    return dirichlet_multinomial_log_marginal([leaf.counts for leaf in leaves], alpha)
 
 
 def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
@@ -476,6 +457,8 @@ def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
     Each growth step splits a uniform leaf on a uniform feature and a uniform
     menu threshold; growth stops early if no leaf can be split.
     """
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
     rng = np.random.default_rng(seed)
     target_leaves = int(rng.integers(1, k_max + 1))
     root = _leaf(data.class_counts(), np.arange(data.n), data)

@@ -52,12 +52,11 @@ class TreeNode:
     ``counts`` holds the per-class training counts of the points reaching the
     node; ``indices`` optionally caches which training rows those are (only the
     sampler's trees keep them; prediction does not need them). ``cache`` is
-    None except on the sampler's nodes, which are cached when they are made
-    with values derived from the node's own fields and the Dataset they were
-    built on; the sampler checks that Dataset only at a tree's root. A node's
-    structure, counts and indices never change after construction; the only
-    later write fills a sampler leaf's cache once, with a value derived from
-    them, so every cached value stays exact.
+    None except on the sampler's nodes: their builder sets it once, when it
+    makes the node, to the Dataset they were built on and values derived
+    from it and the node's own fields; the sampler checks that Dataset only
+    at a tree's root. Nothing writes to a node after it is built, so every
+    cached value stays exact.
     """
 
     __slots__ = ("feature", "threshold", "left", "right", "counts", "indices", "cache")
@@ -115,6 +114,14 @@ def _check_features(tree: DecisionTree, columns: int) -> None:
     feature = max((node.feature for node in walk(tree.root)[1]), default=-1)
     if feature >= columns:
         raise ValueError(f"tree splits on feature {feature}, but the data has {columns} columns")
+
+
+def _feature_matrix(features) -> np.ndarray:
+    """features as a float array; ValueError naming the shape unless it is 2-D."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D (rows, columns), got shape {features.shape}")
+    return features
 
 
 def _entropy_bits(counts: np.ndarray) -> np.ndarray:
@@ -216,9 +223,7 @@ def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float
     and alpha=1 is Laplace smoothing. Features that are not 2-D, or a split
     on a column that features lacks, raise ValueError.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D (rows, columns), got shape {features.shape}")
+    features = _feature_matrix(features)
     _check_features(tree, features.shape[1])
     num_classes = tree.root.counts.size
     out = np.empty((features.shape[0], num_classes))
@@ -247,6 +252,8 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     """
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
+    if top_k < 1:
+        raise ValueError(f"need top_k >= 1, got {top_k}")
     rng = np.random.default_rng(seed)
 
     def build(indices: np.ndarray) -> TreeNode:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import treeuq
@@ -63,3 +64,13 @@ def test_every_private_module_level_name_is_read_elsewhere_in_the_package():
                 and all(reader in inside for reader in readers.get(name, ()))
             ]
     assert unread == []
+
+
+def test_readme_library_example_runs(capsys):
+    """README's Python example runs as written and prints what its comments say."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {"__name__": "readme_example"})
+    randomized, bayesian, bayes_error = capsys.readouterr().out.splitlines()
+    assert randomized.startswith("EnvelopeSummary(") and bayesian.startswith("EnvelopeSummary(")
+    assert 0.07 < float(bayes_error) < 0.09  # ~0.078, the benchmark's floor

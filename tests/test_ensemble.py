@@ -139,6 +139,17 @@ class TestEnsemblePosterior:
             ensemble_posterior_matrix([three, two], [[0.0]], mode=mode)
 
 
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    def test_scalar_features_name_the_shape_before_routing(self, mode, monkeypatch):
+        def must_not_route(*args, **kwargs):
+            raise AssertionError("a tree was routed before the feature shape was checked")
+
+        monkeypatch.setattr(ensemble, "leaf_posterior_matrix", must_not_route)
+        for features in (1.0, np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"must be 2-D .* shape \(\)"):
+                ensemble_posterior_matrix([DecisionTree(TreeNode([3, 1]))], features, mode=mode)
+
+
 def grown_with(data, min_leaf: int, n_trees: int) -> list[str]:
     """Serialised trees grown with min_leaf on train_ensemble's seed-0 streams."""
     return [

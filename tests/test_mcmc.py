@@ -405,6 +405,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McmcConfig(dirichlet_alpha=0.0)
 
+    def test_prior_tree_needs_a_leaf(self):
+        data = continuous_dataset()
+        for k_max in (0, -2):
+            with pytest.raises(ValueError, match="k_max >= 1, got"):
+                sample_prior_tree(data, k_max, 0)
+
     def test_non_finite_or_misshapen_input_rejected(self):
         # a NaN passes the sum and sign checks, and a NaN birth probability
         # would make every draw a change_rule

@@ -10,6 +10,8 @@ for which moves those are, for every tree that is built and for the draws.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from treeuq import (
     Dataset,
     DecisionTree,
     McmcConfig,
+    ensemble_posterior_matrix,
     grow_randomized,
     log_marginal_likelihood,
     log_prior,
@@ -357,6 +360,66 @@ def test_a_chain_never_reroutes_its_own_states(monkeypatch):
             assert min(tree_size(s.tree) for s in samples) == 1  # deaths reach a single leaf
         starts.add(tree_size(mcmc.sample_prior_tree(data, 3, np.random.default_rng(seed))))
     assert 1 in starts  # some chains start from a single leaf
+
+
+def node_objects(tree):
+    """(node, cache, counts, indices) of every node: leaves, then internal nodes."""
+    leaves, internals, _ = walk(tree.root)
+    return [(node, node.cache, node.counts, node.indices) for node in leaves + internals]
+
+
+def test_no_operation_writes_to_a_built_node():
+    # a builder sets every field of a node once; scoring at several alphas,
+    # the prior, proposals and an ensemble score leave each node holding the
+    # very objects it was built with, and a leaf's cache its Dataset alone
+    data = make_dataset(4, 40, 2, 3, grid=0)
+    config = McmcConfig(restarts=1, burn_in=50, post_burn_in=100, max_leaves=8)
+    trees = list({id(s.tree): s.tree for s in run_chain(data, config, seed=3)}.values())
+    assert len(trees) > 5
+    before = [node_objects(tree) for tree in trees]
+    for tree in trees:
+        for alpha in (1.0, 2.0, 0.5):
+            log_marginal_likelihood(tree, data, alpha)
+        log_prior(tree, 8, data)
+        for seed in range(5):
+            propose_move(tree, data, ALL_KINDS, seed)
+    ensemble_posterior_matrix(trees, data.features, mode="average", alpha=2.0)
+    for tree, objects in zip(trees, before):
+        after = node_objects(tree)
+        assert len(after) == len(objects)
+        for old, new in zip(objects, after):
+            assert all(a is b for a, b in zip(old, new))
+        for leaf in walk(tree.root)[0]:
+            assert len(leaf.cache) == 1 and leaf.cache[0] is data
+
+
+def test_concurrent_scoring_at_two_alphas_equals_one_thread():
+    # a guard: a race shows only in some runs, so a pass proves nothing alone
+    data = make_dataset(6, 60, 2, 3, grid=0)
+    config = McmcConfig(restarts=1, burn_in=100, post_burn_in=100, max_leaves=10)
+    tree = max((s.tree for s in run_chain(data, config, seed=2)), key=tree_size)
+    assert tree_size(tree) >= 3
+    expected = {alpha: log_marginal_likelihood(tree, data, alpha) for alpha in (1.0, 2.0)}
+    wrong = []
+
+    def score(offset):
+        for i in range(3000):
+            alpha = 1.0 if (i + offset) % 2 else 2.0
+            value = log_marginal_likelihood(tree, data, alpha)
+            if value != expected[alpha]:
+                wrong.append((alpha, value))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def same_float(a, b):

@@ -392,6 +392,16 @@ class TestGrowRandomized:
         assert serialize_tree(a) == serialize_tree(b)
 
 
+    def test_top_k_below_one_rejected_at_entry(self):
+        # pure data never reaches the split search, two-class data would
+        pure = Dataset(np.random.default_rng(0).standard_normal((10, 2)), [0] * 10, 2, ("a", "b"))
+        mixed = sample_mixture(make_benchmark_mixture(), 40, 3)
+        for data in (pure, mixed):
+            for top_k in (0, -1):
+                with pytest.raises(ValueError, match="top_k >= 1, got"):
+                    grow_randomized(data, 5, top_k=top_k)
+
+
 class TestTreeSize:
     def test_single_leaf(self):
         assert tree_size(DecisionTree(TreeNode([1, 1]))) == 1
