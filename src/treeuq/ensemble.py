@@ -7,7 +7,8 @@ class boundaries. The ensemble posterior either averages per-tree posteriors
 or counts per-tree argmax votes; the vote form is what the uncertainty
 envelope consumes. The Bayesian sampler's retained trees go through the same
 scorer and the same size summary, so both techniques are judged by one
-function each.
+function each. Consecutive sampler trees share every subtree their move left
+untouched, so the scorer re-routes only the rows of the changed subtree.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .tree import DecisionTree, _feature_matrix, grow_randomized, leaf_posterior_matrix, tree_size
+from .tree import DecisionTree, _feature_matrix, _route, grow_randomized, leaf_posterior_matrix, tree_size
 
 __all__ = [
     "EnsembleConfig",
@@ -92,12 +93,21 @@ def ensemble_posterior_matrix(
     several times (a rejected MH step keeps its state) is evaluated once and
     weighted by its number of occurrences. Every tree must have the class
     count of the first, or ValueError names the first that does not; features
-    that are not 2-D raise ValueError naming the shape.
+    that are not 2-D, or an alpha that is not finite and > 0, raise
+    ValueError.
+
+    Each distinct tree re-routes only the rows that reach a node it does not
+    share by reference with the previous one: after a sampler move, the rows
+    of the changed subtree; randomised trees share nothing and route all.
+    Vote mode credits a row's weight to its label when the label changes, an
+    exact integer sum, so both modes equal scoring each tree alone.
     """
     if len(trees) < 1:
         raise ValueError("ensemble is empty")
     if mode not in ("average", "vote"):
         raise ValueError(f"unknown mode {mode!r}; expected 'vote' or 'average'")
+    if not 0 < alpha < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"need finite alpha > 0, got {alpha}")
     num_classes = trees[0].root.counts.size
     distinct: dict[int, list] = {}
     for i, tree in enumerate(trees):
@@ -106,14 +116,29 @@ def ensemble_posterior_matrix(
         distinct.setdefault(id(tree), [tree, 0])[1] += 1
 
     features = _feature_matrix(features)
-    out = np.zeros((features.shape[0], num_classes))
-    rows = np.arange(features.shape[0])
+    n = features.shape[0]
+    out = np.zeros((n, num_classes))
+    posterior = np.empty((n, num_classes))  # average: the previous tree's, per row
+    label = np.zeros(n, dtype=np.intp)  # vote: the previous tree's argmax, per row
+    since, total, previous = np.zeros(n), 0, None  # vote: total weight when label[row] was set
     for tree, weight in distinct.values():
-        posterior = leaf_posterior_matrix(tree, features, alpha=alpha)
+        routed = _route(tree.root, features, alpha, previous)
+        previous = tree.root
         if mode == "average":
+            for rows, leaf in routed:
+                posterior[rows] = leaf
             out += weight * posterior
         else:
-            out[rows, np.argmax(posterior, axis=1)] += weight
+            new = label.copy()
+            for rows, leaf in routed:
+                new[rows] = np.argmax(leaf)
+            changed = np.flatnonzero(new != label)
+            out[changed, label[changed]] += total - since[changed]
+            since[changed] = total
+            label = new
+            total += weight
+    if mode == "vote":
+        out[np.arange(n), label] += total - since
     out /= len(trees)
     return out
 

@@ -170,8 +170,11 @@ def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
     """Log marginal likelihood of class-count rows under Dirichlet(alpha) rates.
 
     Each row contributes log[Gamma(C*a)/Gamma(n+C*a) * prod_c Gamma(n_c+a)/Gamma(a)];
-    an all-zero row contributes 0.
+    an all-zero row contributes 0. An alpha that is not finite and > 0 raises
+    ValueError.
     """
+    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"need finite alpha > 0, got {alpha}")
     counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
     num_classes = counts.shape[1]
     totals = counts.sum(axis=1)

@@ -220,27 +220,47 @@ def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float
 
     Each row gets the class probabilities (n_c + alpha) / (n + C * alpha) of
     the leaf it reaches; ``alpha`` is the symmetric Dirichlet smoothing count,
-    and alpha=1 is Laplace smoothing. Features that are not 2-D, or a split
-    on a column that features lacks, raise ValueError.
+    and alpha=1 is Laplace smoothing. Features that are not 2-D, a split on
+    a column that features lacks, or an alpha that is not finite and > 0
+    raise ValueError.
     """
+    if not 0 < alpha < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"need finite alpha > 0, got {alpha}")
     features = _feature_matrix(features)
-    _check_features(tree, features.shape[1])
-    num_classes = tree.root.counts.size
-    out = np.empty((features.shape[0], num_classes))
-
-    def fill(node: TreeNode, rows: np.ndarray) -> None:
-        if rows.size == 0:
-            return
-        if node.is_leaf:
-            counts = node.counts.astype(np.float64)
-            out[rows] = (counts + alpha) / (counts.sum() + alpha * num_classes)
-            return
-        goes_left = features[rows, node.feature] <= node.threshold
-        fill(node.left, rows[goes_left])
-        fill(node.right, rows[~goes_left])
-
-    fill(tree.root, np.arange(features.shape[0]))
+    out = np.empty((features.shape[0], tree.root.counts.size))
+    for rows, posterior in _route(tree.root, features, alpha):
+        out[rows] = posterior
     return out
+
+
+def _route(root: TreeNode, features: np.ndarray, alpha: float, previous: TreeNode | None = None):
+    """(rows, leaf posterior) for each leaf of root that rows of features reach.
+
+    With ``previous``, a root the rows went through before, the walk descends
+    both trees while their nodes split alike and leaves out the rows that reach
+    a node both share by reference. Every unshared node is visited, even without
+    rows, so a split on a column that features lacks raises ValueError.
+    """
+    columns = features.shape[1]
+    routed = []
+    stack = [(root, previous, np.arange(features.shape[0]))]
+    while stack:
+        node, old, rows = stack.pop()
+        if node is old:
+            continue
+        if node.left is None:
+            if rows.size:
+                counts = node.counts.astype(np.float64)
+                routed.append((rows, (counts + alpha) / (counts.sum() + alpha * counts.size)))
+            continue
+        if node.feature >= columns:
+            raise ValueError(f"tree splits on feature {node.feature}, but the data has {columns} columns")
+        if old is not None and (old.feature != node.feature or old.threshold != node.threshold):
+            old = None
+        goes_left = features[rows, node.feature] <= node.threshold
+        stack.append((node.right, old and old.right, rows[~goes_left]))
+        stack.append((node.left, old and old.left, rows[goes_left]))
+    return routed
 
 
 def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) -> DecisionTree:

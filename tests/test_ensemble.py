@@ -7,6 +7,7 @@ from treeuq import (
     Dataset,
     DecisionTree,
     EnsembleConfig,
+    McmcConfig,
     TreeNode,
     best_single_tree,
     ensemble_posterior_matrix,
@@ -15,6 +16,7 @@ from treeuq import (
     make_benchmark_mixture,
     parse_tree,
     propose_move,
+    run_with_restarts,
     sample_mixture,
     sample_prior_tree,
     serialize_tree,
@@ -32,6 +34,28 @@ def stump(class_index: int, total: int = 10, num_classes: int = 2) -> DecisionTr
 
 def point_posterior(trees, x, mode, alpha=1.0):
     return ensemble_posterior_matrix(trees, [x], mode=mode, alpha=alpha)[0]
+
+
+def plain_loop(trees, features, mode, alpha):
+    """Every distinct tree scored alone, in order of first occurrence, weighted by its occurrences."""
+    distinct: dict[int, list] = {}
+    for tree in trees:
+        distinct.setdefault(id(tree), [tree, 0])[1] += 1
+    features = np.asarray(features, dtype=np.float64)
+    rows = np.arange(features.shape[0])
+    expected = np.zeros((features.shape[0], trees[0].root.counts.size))
+    for tree, weight in distinct.values():
+        posterior = leaf_posterior_matrix(tree, features, alpha=alpha)
+        assert posterior.shape == expected.shape
+        if mode == "average":
+            expected += weight * posterior
+        else:
+            expected[rows, np.argmax(posterior, axis=1)] += weight
+    return expected / len(trees)
+
+
+def must_not_route(*args, **kwargs):
+    raise AssertionError("a tree was routed before the input was checked")
 
 
 class TestEnsemblePosterior:
@@ -74,19 +98,63 @@ class TestEnsemblePosterior:
             proposal.tree,
         )
         for trees, data in ((two_class, mixture), (three_class, three)):
-            rows = np.arange(data.n)
-            expected = np.zeros((data.n, data.num_classes))
-            for tree in trees:
-                posterior = leaf_posterior_matrix(tree, data.features, alpha=alpha)
-                assert posterior.shape == (data.n, data.num_classes)
-                if mode == "average":
-                    expected += posterior
-                else:
-                    expected[rows, np.argmax(posterior, axis=1)] += 1.0
-            expected /= len(trees)
             post = ensemble_posterior_matrix(trees, data.features, mode=mode, alpha=alpha)
             assert post.shape == (data.n, data.num_classes)
-            assert np.array_equal(post, expected)
+            assert np.array_equal(post, plain_loop(trees, data.features, mode, alpha))
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_trees_sharing_subtrees_match_a_plain_loop_bit_for_bit(self, mode, alpha):
+        # the scorer re-routes only the rows a tree does not share with the
+        # previous one; every case must still equal scoring each tree alone
+        spec = make_benchmark_mixture()
+        train, test = sample_mixture(spec, 150, 12), sample_mixture(spec, 400, 13)
+        chain = run_with_restarts(train, McmcConfig(restarts=3, burn_in=60, post_burn_in=80, seed=4))
+        chain_trees = [s.tree for s in chain.samples]
+        assert len({id(t) for t in chain_trees}) > 3 * 5  # several distinct trees per restart
+        a, b = chain_trees[0], next(t for t in chain_trees if t is not chain_trees[0])
+        # greedy clones: equal rules on distinct nodes, and a clone whose leaves
+        # hold other counts, which must be scored from its own leaves
+        def reversed_leaves(node):
+            if node.is_leaf:
+                return TreeNode(node.counts[::-1])
+            left, right = reversed_leaves(node.left), reversed_leaves(node.right)
+            return TreeNode(node.counts, node.feature, node.threshold, left, right)
+
+        greedy = [grow_randomized(train, min_leaf=5, top_k=1, seed=s) for s in range(2)]
+        relabelled = DecisionTree(reversed_leaves(greedy[0].root))
+        assert serialize_tree(greedy[1]) == serialize_tree(greedy[0]) != serialize_tree(relabelled)
+        rng = np.random.default_rng(3)
+        three = Dataset(rng.standard_normal((90, 2)), np.arange(90) % 3, 3, ("a", "b"))
+        three_chain = run_with_restarts(three, McmcConfig(restarts=3, burn_in=40, post_burn_in=40, seed=2))
+        cases = (
+            (chain_trees, test.features),
+            ([greedy[0], relabelled, greedy[1], greedy[0]], test.features),
+            ([a, b, a], test.features),
+            ([s.tree for s in three_chain.samples], three.features),
+            (chain_trees, np.empty((0, 2))),
+        )
+        for trees, features in cases:
+            post = ensemble_posterior_matrix(trees, features, mode=mode, alpha=alpha)
+            assert post.shape == (features.shape[0], trees[0].root.counts.size)
+            assert np.array_equal(post, plain_loop(trees, features, mode, alpha))
+
+    def test_consecutive_chain_trees_route_only_the_changed_rows(self, monkeypatch):
+        data = sample_mixture(make_benchmark_mixture(), 150, 14)
+        chain = run_with_restarts(data, McmcConfig(restarts=1, burn_in=60, post_burn_in=80, seed=6))
+        trees = [s.tree for s in chain.samples]
+        route, routed = ensemble._route, []
+
+        def counting_route(*args):
+            result = route(*args)
+            routed.append(sum(rows.size for rows, _ in result))
+            return result
+
+        monkeypatch.setattr(ensemble, "_route", counting_route)
+        ensemble_posterior_matrix(trees, data.features)
+        assert routed[0] == data.n  # the first tree has no previous one
+        assert len(routed) > 5 and max(routed[1:]) <= data.n
+        assert sum(routed[1:]) < (len(routed) - 1) * data.n / 2
 
     @pytest.mark.parametrize("mode", ["vote", "average"])
     def test_repeated_tree_objects_weigh_like_distinct_copies(self, mode):
@@ -128,26 +196,26 @@ class TestEnsemblePosterior:
 
     @pytest.mark.parametrize("mode", ["vote", "average"])
     def test_class_count_mismatch_names_the_tree_before_routing(self, mode, monkeypatch):
-        def must_not_route(*args, **kwargs):
-            raise AssertionError("a tree was routed before the class counts were checked")
-
-        monkeypatch.setattr(ensemble, "leaf_posterior_matrix", must_not_route)
+        monkeypatch.setattr(ensemble, "_route", must_not_route)
         two, three = stump(0), stump(2, num_classes=3)
         with pytest.raises(ValueError, match="tree 2 has 3 classes, but tree 0 has 2"):
             ensemble_posterior_matrix([two, two, three], [[0.0]], mode=mode)
         with pytest.raises(ValueError, match="tree 1 has 2 classes, but tree 0 has 3"):
             ensemble_posterior_matrix([three, two], [[0.0]], mode=mode)
 
-
     @pytest.mark.parametrize("mode", ["vote", "average"])
     def test_scalar_features_name_the_shape_before_routing(self, mode, monkeypatch):
-        def must_not_route(*args, **kwargs):
-            raise AssertionError("a tree was routed before the feature shape was checked")
-
-        monkeypatch.setattr(ensemble, "leaf_posterior_matrix", must_not_route)
+        monkeypatch.setattr(ensemble, "_route", must_not_route)
         for features in (1.0, np.float64(1.0)):
             with pytest.raises(ValueError, match=r"must be 2-D .* shape \(\)"):
                 ensemble_posterior_matrix([DecisionTree(TreeNode([3, 1]))], features, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_alpha_rejected_before_routing(self, mode, alpha, monkeypatch):
+        monkeypatch.setattr(ensemble, "_route", must_not_route)
+        with pytest.raises(ValueError, match="need finite alpha > 0"):
+            ensemble_posterior_matrix([DecisionTree(TreeNode([5, 0]))], [[0.0]], mode=mode, alpha=alpha)
 
 
 def grown_with(data, min_leaf: int, n_trees: int) -> list[str]:

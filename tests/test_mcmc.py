@@ -60,6 +60,15 @@ class TestMarginalLikelihood:
         assert value == pytest.approx(math.log(1 / 20), abs=1e-12)
         assert value == pytest.approx(-2.9957, abs=1e-4)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_alpha_rejected(self, alpha):
+        # alpha 0 and -1 once gave nan here without a word
+        data = Dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 1], 2, ("x",))
+        with pytest.raises(ValueError, match="need finite alpha > 0"):
+            dirichlet_multinomial_log_marginal([[3, 1]], alpha)
+        with pytest.raises(ValueError, match="need finite alpha > 0"):
+            log_marginal_likelihood(DecisionTree(TreeNode([3, 1])), data, alpha)
+
     def test_empty_leaf_contributes_zero(self):
         assert dirichlet_multinomial_log_marginal([[0, 0]], alpha=1.0) == 0.0
         # tree whose right leaf catches nothing scores like the single leaf

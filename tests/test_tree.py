@@ -25,6 +25,7 @@ from treeuq import (
     top_k_splits,
     tree_size,
 )
+from treeuq import tree as tree_module
 from treeuq.tree import _gain_bits, walk
 
 
@@ -306,6 +307,16 @@ class TestLeafPosterior:
     def test_balanced_counts_uniform(self):
         assert self.leaf([5, 5]) == pytest.approx([0.5, 0.5])
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_alpha_rejected_before_routing(self, alpha, monkeypatch):
+        # alpha=-1 once gave [[1.333, -0.333]] here, which is not a distribution
+        def must_not_route(*args, **kwargs):
+            raise AssertionError("a tree was routed before alpha was checked")
+
+        monkeypatch.setattr(tree_module, "_route", must_not_route)
+        with pytest.raises(ValueError, match="need finite alpha > 0"):
+            leaf_posterior_matrix(DecisionTree(TreeNode([5, 0])), [[0.0]], alpha=alpha)
+
 
 class TestPredict:
     def test_single_leaf_tree(self):
@@ -462,6 +473,8 @@ class TestSerialization:
         data = Dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1], 2, ("a", "b"))
         for use in (
             lambda: leaf_posterior_matrix(outside, data.features),
+            lambda: leaf_posterior_matrix(outside, np.empty((0, 2))),
+            lambda: ensemble_posterior_matrix([outside], data.features),
             lambda: log_prior(outside, 10, data),
             lambda: log_marginal_likelihood(outside, data),
             lambda: propose_move(outside, data, (0.25, 0.25, 0.25, 0.25), 0),
