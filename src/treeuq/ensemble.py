@@ -41,13 +41,12 @@ class EnsembleConfig:
     """Training settings for a randomised ensemble.
 
     min_leaf=None applies the size rule: 30 when the training set has more
-    than 300 points, else 5.
+    than 300 points, else 5. The seed is an argument of train_ensemble.
     """
 
     n_trees: int = 200
     min_leaf: int | None = None
     top_k: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -63,12 +62,12 @@ def default_min_leaf(train_size: int) -> int:
 
 
 def train_ensemble(
-    train: Dataset, config: EnsembleConfig = EnsembleConfig()
+    train: Dataset, config: EnsembleConfig = EnsembleConfig(), seed=0
 ) -> tuple[DecisionTree, ...]:
     """Grow config.n_trees randomised trees with independent seed streams.
 
-    Per-tree seeds derive from config.seed as SeedSequence((seed, tree_index)),
-    so any tree is reproducible in isolation.
+    Per-tree seeds derive from seed as SeedSequence((seed, tree_index)), so
+    any tree is reproducible in isolation.
     """
     min_leaf = config.min_leaf if config.min_leaf is not None else default_min_leaf(train.n)
     return tuple(
@@ -76,7 +75,7 @@ def train_ensemble(
             train,
             min_leaf=min_leaf,
             top_k=config.top_k,
-            seed=np.random.SeedSequence((config.seed, i)),
+            seed=np.random.SeedSequence((seed, i)),
         )
         for i in range(config.n_trees)
     )

@@ -58,10 +58,10 @@ class ExperimentError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment.
+    """Everything needed to reproduce one experiment; each setting is one INI key.
 
-    ``seed`` is the only seed in force: ``run_experiment`` replaces
-    ``randomized.seed`` and ``mcmc.seed`` with seeds it derives from it.
+    ``seed`` is the master seed: ``run_experiment`` derives from it the seeds
+    it passes to ``train_ensemble`` and ``run_with_restarts``.
     """
 
     dataset: str = "synthetic"
@@ -282,8 +282,7 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
     all_trees: list[DecisionTree] = []
     for f in range(config.folds):
         seed = int(np.random.SeedSequence((config.seed, 3, f)).generate_state(1)[0])
-        ens_config = replace(config.randomized, seed=seed)
-        trees = train_ensemble(train.subset(folds.train_indices(f)), ens_config)
+        trees = train_ensemble(train.subset(folds.train_indices(f)), config.randomized, seed)
         validation = train.subset(folds.test_indices(f))
 
         posteriors = ensemble_posterior_matrix(trees, test.features, mode=config.envelope_mode)
@@ -313,11 +312,10 @@ def _run_bayesian(
     config: ExperimentConfig, train: Dataset, test: Dataset, trace_path=None
 ) -> BayesianResult:
     seed = int(np.random.SeedSequence((config.seed, 4)).generate_state(1)[0])
-    mcmc_config = replace(config.mcmc, seed=seed)
     with open(trace_path, "w", encoding="utf-8") if trace_path is not None else nullcontext() as trace:
-        ens = run_with_restarts(train, mcmc_config, trace=trace)
+        ens = run_with_restarts(train, config.mcmc, seed, trace=trace)
     posteriors = bayes_predictive_matrix(
-        ens, test.features, mode=config.envelope_mode, alpha=mcmc_config.dirichlet_alpha
+        ens, test.features, mode=config.envelope_mode, alpha=config.mcmc.dirichlet_alpha
     )
     size_mean, size_std = ensemble_mean_size([s.tree for s in ens.samples])
     return BayesianResult(

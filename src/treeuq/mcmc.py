@@ -69,7 +69,7 @@ from scipy.special import gammaln
 
 from .data import Dataset
 from .ensemble import ensemble_posterior_matrix
-from .tree import DecisionTree, TreeNode, _check_features, tree_size, walk
+from .tree import DecisionTree, TreeNode, _check_rule, tree_size, walk
 
 # Not used in this module: the benchmark's tracer (perfbench/tracing.py)
 # wraps this module's binding by name and reports a missing one.
@@ -101,6 +101,7 @@ class McmcConfig:
     The defaults reproduce the benchmark protocol: 50 restarts of 2000
     burn-in plus 2000 retained steps with move probabilities
     (birth, death, change_variable, change_rule) = (0.1, 0.1, 0.1, 0.7).
+    The seed is an argument of run_chain and run_with_restarts.
     """
 
     restarts: int = 50
@@ -110,7 +111,6 @@ class McmcConfig:
     max_leaves: int = 50
     thinning: int = 1
     dirichlet_alpha: float = 1.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if len(self.move_probs) != len(MOVE_KINDS):
@@ -190,9 +190,9 @@ def refresh_counts(tree: DecisionTree, data: Dataset) -> DecisionTree:
     """Re-route the training data through the tree, rebuilding counts/indices.
 
     Every rebuilt node is cached for data, so the copy is trusted as it is. A
-    split on a column that data lacks raises ValueError.
+    split on a column that data lacks, or at a non-finite threshold, raises
+    ValueError.
     """
-    _check_features(tree, data.m)
     return DecisionTree(_rebuild_subtree(tree.root, data, np.arange(data.n)))
 
 
@@ -322,6 +322,7 @@ def _rebuild_subtree(
     counts = np.bincount(data.labels[indices], minlength=data.num_classes)
     if node.is_leaf:
         return _leaf(counts, indices, data)
+    _check_rule(node.feature, node.threshold, data.m)
     cache = _rule_cache(data, indices, node.feature, node.threshold)
     if keep_unchanged and cache[2] is None:
         return None
@@ -512,10 +513,10 @@ def run_chain(
     return samples
 
 
-def run_with_restarts(data: Dataset, config: McmcConfig, trace=None) -> PosteriorEnsemble:
+def run_with_restarts(data: Dataset, config: McmcConfig, seed=0, trace=None) -> PosteriorEnsemble:
     """Pool retained samples from config.restarts independent chains.
 
-    Chain seeds derive from config.seed as SeedSequence((seed, restart)), so
+    Chain seeds derive from seed as SeedSequence((seed, restart)), so
     the pooled ensemble does not depend on execution order. ``trace`` is an
     optional writable text stream passed to every ``run_chain``, so it gets
     each restart's lines in restart order; the caller opens and closes it.
@@ -527,7 +528,7 @@ def run_with_restarts(data: Dataset, config: McmcConfig, trace=None) -> Posterio
                 data,
                 config,
                 restart_index=restart,
-                seed=np.random.SeedSequence((config.seed, restart)),
+                seed=np.random.SeedSequence((seed, restart)),
                 trace=trace,
             )
         )

@@ -109,11 +109,12 @@ def tree_size(tree: DecisionTree) -> int:
     return len(walk(tree.root)[0])
 
 
-def _check_features(tree: DecisionTree, columns: int) -> None:
-    """Raise ValueError if a split of tree reads a column the data lacks."""
-    feature = max((node.feature for node in walk(tree.root)[1]), default=-1)
-    if feature >= columns:
+def _check_rule(feature: int, threshold: float, columns: int) -> None:
+    """Raise ValueError unless a split reads one of columns at a finite threshold."""
+    if not 0 <= feature < columns:
         raise ValueError(f"tree splits on feature {feature}, but the data has {columns} columns")
+    if not -np.inf < threshold < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"tree splits on feature {feature} at threshold {threshold}, which is not finite")
 
 
 def _feature_matrix(features) -> np.ndarray:
@@ -221,8 +222,8 @@ def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float
     Each row gets the class probabilities (n_c + alpha) / (n + C * alpha) of
     the leaf it reaches; ``alpha`` is the symmetric Dirichlet smoothing count,
     and alpha=1 is Laplace smoothing. Features that are not 2-D, a split on
-    a column that features lacks, or an alpha that is not finite and > 0
-    raise ValueError.
+    a column that features lacks or at a non-finite threshold, or an alpha
+    that is not finite and > 0 raise ValueError.
     """
     if not 0 < alpha < np.inf:  # NaN fails both comparisons
         raise ValueError(f"need finite alpha > 0, got {alpha}")
@@ -239,7 +240,8 @@ def _route(root: TreeNode, features: np.ndarray, alpha: float, previous: TreeNod
     With ``previous``, a root the rows went through before, the walk descends
     both trees while their nodes split alike and leaves out the rows that reach
     a node both share by reference. Every unshared node is visited, even without
-    rows, so a split on a column that features lacks raises ValueError.
+    rows, so a split on a column that features lacks, or at a non-finite
+    threshold, raises ValueError.
     """
     columns = features.shape[1]
     routed = []
@@ -253,8 +255,7 @@ def _route(root: TreeNode, features: np.ndarray, alpha: float, previous: TreeNod
                 counts = node.counts.astype(np.float64)
                 routed.append((rows, (counts + alpha) / (counts.sum() + alpha * counts.size)))
             continue
-        if node.feature >= columns:
-            raise ValueError(f"tree splits on feature {node.feature}, but the data has {columns} columns")
+        _check_rule(node.feature, node.threshold, columns)
         if old is not None and (old.feature != node.feature or old.threshold != node.threshold):
             old = None
         goes_left = features[rows, node.feature] <= node.threshold

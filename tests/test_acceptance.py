@@ -123,7 +123,6 @@ class TestCriterion6PriorSamplingOracle:
             post_burn_in=100_000,
             thinning=100,
             max_leaves=4,
-            seed=5,
         )
         samples = run_chain(data, config, seed=123, loglik_fn=lambda tree, d, a: 0.0)
         sizes = np.array([tree_size(s.tree) for s in samples])

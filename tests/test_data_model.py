@@ -9,6 +9,7 @@ from scipy.stats import chisquare
 from treeuq import (
     Dataset,
     DatasetError,
+    FoldSplit,
     GaussianMixtureSpec,
     MixtureComponent,
     bayes_posterior,
@@ -284,7 +285,7 @@ class TestEstimateBayesError:
         spec = make_benchmark_mixture()
         train = sample_mixture(spec, 250, 41)
         test = sample_mixture(spec, 2000, 42)
-        trees = train_ensemble(train, EnsembleConfig(n_trees=50, min_leaf=5, seed=1))
+        trees = train_ensemble(train, EnsembleConfig(n_trees=50, min_leaf=5), seed=1)
         post = ensemble_posterior_matrix(trees, test.features, mode="vote")
         classifier_err = float(np.mean(np.argmax(post, axis=1) != test.labels))
         bayes = estimate_bayes_error(spec, 10**5, 43)
@@ -356,3 +357,74 @@ class TestDatasetValidation:
         assert a == a
         assert a != b
         assert len({a, b, a}) == 2
+
+
+def _spec(*components):
+    return GaussianMixtureSpec(tuple(MixtureComponent(*c) for c in components))
+
+
+def _load(text, label_column="class"):
+    return lambda tmp_path: load_csv(_write(tmp_path / "in.csv", text), label_column)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (
+            lambda _: Dataset([[0.0], [1.0]], [0], 2, ("x",)),
+            DatasetError,
+            r"labels shape \(1,\) does not match 2 rows",
+        ),
+        (lambda _: Dataset([[0.0]], [0], 1, ("x",)), DatasetError, "need at least 2 classes, got 1"),
+        (
+            lambda _: Dataset([[0.0]], [0], 2, ("x", "y")),
+            DatasetError,
+            "feature_names must name every feature column",
+        ),
+        (lambda _: _spec(), ValueError, "mixture needs at least one component"),
+        (lambda _: _spec((1.0, (0.0, 0.0), 0.03, 0)), ValueError, r"weight 1.0 outside \(0, 1\)"),
+        (
+            lambda _: _spec((0.5, (0.0, 0.0), 0.0, 0), (0.5, (1.0, 1.0), 0.03, 1)),
+            ValueError,
+            "scale 0.0 must be positive",
+        ),
+        (
+            lambda _: _spec((0.5, (0.0, 0.0), 0.03, -1), (0.5, (1.0, 1.0), 0.03, 1)),
+            ValueError,
+            "non-negative",
+        ),
+        (lambda _: FoldSplit([0, 0, 0, 1], 2), ValueError, "fold sizes must differ by at most 1"),
+        (lambda _: FoldSplit([0, 1, 2], 2), ValueError, "fold sizes must differ by at most 1"),
+        (_load(""), DatasetError, "file is empty"),
+        (_load("x,class\n1.0,a\n", 2), DatasetError, "label column index 2 out of range"),
+        (_load("class\na\nb\n"), DatasetError, "no feature columns besides the label"),
+        (_load("x,class\n"), DatasetError, "no data rows"),
+        (_load("x,class\n1.0,a\n2.0, \n"), DatasetError, "row 2, column 'class': empty label"),
+        (
+            lambda _: estimate_bayes_error(make_benchmark_mixture(), 0, 1),
+            ValueError,
+            "need n >= 1, got 0",
+        ),
+    ],
+    ids=[
+        "labels-shape",
+        "one-class",
+        "feature-names",
+        "no-components",
+        "weight-outside-0-1",
+        "scale-not-positive",
+        "negative-class",
+        "fold-sizes-uneven",
+        "fold-index-beyond-k",
+        "csv-empty-file",
+        "csv-label-index",
+        "csv-no-feature-column",
+        "csv-no-data-row",
+        "csv-empty-label",
+        "bayes-error-n-0",
+    ],
+)
+def test_input_checks_name_the_problem(tmp_path, call, error, match):
+    with pytest.raises(error, match=match) as raised:
+        call(tmp_path)
+    assert type(raised.value) is error

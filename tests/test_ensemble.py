@@ -10,6 +10,7 @@ from treeuq import (
     McmcConfig,
     TreeNode,
     best_single_tree,
+    ensemble_mean_size,
     ensemble_posterior_matrix,
     grow_randomized,
     leaf_posterior_matrix,
@@ -76,7 +77,7 @@ class TestEnsemblePosterior:
 
     def test_identical_trees_agree_with_single_tree(self):
         data = sample_mixture(make_benchmark_mixture(), 100, 3)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=5, min_leaf=5, seed=1))
+        trees = train_ensemble(data, EnsembleConfig(n_trees=5, min_leaf=5), seed=1)
         clones = [trees[0]] * 7
         x = data.features[0]
         single = int(np.argmax(leaf_posterior_matrix(trees[0], [x])[0]))
@@ -87,7 +88,7 @@ class TestEnsemblePosterior:
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_distinct_trees_match_a_plain_loop_bit_for_bit(self, mode, alpha):
         mixture = sample_mixture(make_benchmark_mixture(), 120, 4)
-        two_class = train_ensemble(mixture, EnsembleConfig(n_trees=12, min_leaf=5, seed=3))
+        two_class = train_ensemble(mixture, EnsembleConfig(n_trees=12, min_leaf=5), seed=3)
         # three classes, from growth, parsing and a sampler move: the class count comes from the trees
         rng = np.random.default_rng(5)
         three = Dataset(rng.standard_normal((60, 2)), np.arange(60) % 3, 3, ("a", "b"))
@@ -109,7 +110,7 @@ class TestEnsemblePosterior:
         # previous one; every case must still equal scoring each tree alone
         spec = make_benchmark_mixture()
         train, test = sample_mixture(spec, 150, 12), sample_mixture(spec, 400, 13)
-        chain = run_with_restarts(train, McmcConfig(restarts=3, burn_in=60, post_burn_in=80, seed=4))
+        chain = run_with_restarts(train, McmcConfig(restarts=3, burn_in=60, post_burn_in=80), seed=4)
         chain_trees = [s.tree for s in chain.samples]
         assert len({id(t) for t in chain_trees}) > 3 * 5  # several distinct trees per restart
         a, b = chain_trees[0], next(t for t in chain_trees if t is not chain_trees[0])
@@ -126,7 +127,7 @@ class TestEnsemblePosterior:
         assert serialize_tree(greedy[1]) == serialize_tree(greedy[0]) != serialize_tree(relabelled)
         rng = np.random.default_rng(3)
         three = Dataset(rng.standard_normal((90, 2)), np.arange(90) % 3, 3, ("a", "b"))
-        three_chain = run_with_restarts(three, McmcConfig(restarts=3, burn_in=40, post_burn_in=40, seed=2))
+        three_chain = run_with_restarts(three, McmcConfig(restarts=3, burn_in=40, post_burn_in=40), seed=2)
         cases = (
             (chain_trees, test.features),
             ([greedy[0], relabelled, greedy[1], greedy[0]], test.features),
@@ -141,7 +142,7 @@ class TestEnsemblePosterior:
 
     def test_consecutive_chain_trees_route_only_the_changed_rows(self, monkeypatch):
         data = sample_mixture(make_benchmark_mixture(), 150, 14)
-        chain = run_with_restarts(data, McmcConfig(restarts=1, burn_in=60, post_burn_in=80, seed=6))
+        chain = run_with_restarts(data, McmcConfig(restarts=1, burn_in=60, post_burn_in=80), seed=6)
         trees = [s.tree for s in chain.samples]
         route, routed = ensemble._route, []
 
@@ -159,7 +160,7 @@ class TestEnsemblePosterior:
     @pytest.mark.parametrize("mode", ["vote", "average"])
     def test_repeated_tree_objects_weigh_like_distinct_copies(self, mode):
         data = sample_mixture(make_benchmark_mixture(), 120, 6)
-        a, b, c = train_ensemble(data, EnsembleConfig(n_trees=3, min_leaf=5, seed=8))
+        a, b, c = train_ensemble(data, EnsembleConfig(n_trees=3, min_leaf=5), seed=8)
         repeated = [a, a, b, a, c, c]
         copies = [parse_tree(serialize_tree(t), 2) for t in repeated]
         post = ensemble_posterior_matrix(repeated, data.features, mode=mode)
@@ -169,7 +170,7 @@ class TestEnsemblePosterior:
 
     def test_vote_entries_are_multiples_and_sum_to_one(self):
         data = sample_mixture(make_benchmark_mixture(), 120, 9)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=40, min_leaf=5, seed=2))
+        trees = train_ensemble(data, EnsembleConfig(n_trees=40, min_leaf=5), seed=2)
         post = ensemble_posterior_matrix(trees, data.features[:25], mode="vote")
         scaled = post * 40
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
@@ -177,7 +178,7 @@ class TestEnsemblePosterior:
 
     def test_duplicating_a_tree_moves_vote_toward_its_class(self):
         data = sample_mixture(make_benchmark_mixture(), 100, 11)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=9, min_leaf=5, seed=5))
+        trees = train_ensemble(data, EnsembleConfig(n_trees=9, min_leaf=5), seed=5)
         x = data.features[3]
         for dup in range(len(trees)):
             bigger = list(trees) + [trees[dup]]
@@ -229,28 +230,28 @@ def grown_with(data, min_leaf: int, n_trees: int) -> list[str]:
 class TestTrainEnsemble:
     def test_small_train_uses_min_leaf_5(self):
         data = sample_mixture(make_benchmark_mixture(), 200, 1)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=3, seed=0))
+        trees = train_ensemble(data, EnsembleConfig(n_trees=3), seed=0)
         assert [serialize_tree(t) for t in trees] == grown_with(data, 5, 3) != grown_with(data, 30, 3)
 
     def test_large_train_uses_min_leaf_30(self):
         data = sample_mixture(make_benchmark_mixture(), 455, 1)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=2, seed=0))
+        trees = train_ensemble(data, EnsembleConfig(n_trees=2), seed=0)
         assert [serialize_tree(t) for t in trees] == grown_with(data, 30, 2) != grown_with(data, 5, 2)
 
     def test_explicit_min_leaf_wins(self):
         data = sample_mixture(make_benchmark_mixture(), 400, 1)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=2, min_leaf=7, seed=0))
+        trees = train_ensemble(data, EnsembleConfig(n_trees=2, min_leaf=7), seed=0)
         assert [serialize_tree(t) for t in trees] == grown_with(data, 7, 2) != grown_with(data, 30, 2)
 
     def test_same_seed_identical_ensemble(self):
         data = sample_mixture(make_benchmark_mixture(), 150, 2)
-        a = train_ensemble(data, EnsembleConfig(n_trees=6, min_leaf=5, seed=21))
-        b = train_ensemble(data, EnsembleConfig(n_trees=6, min_leaf=5, seed=21))
+        a = train_ensemble(data, EnsembleConfig(n_trees=6, min_leaf=5), seed=21)
+        b = train_ensemble(data, EnsembleConfig(n_trees=6, min_leaf=5), seed=21)
         assert [serialize_tree(t) for t in a] == [serialize_tree(t) for t in b]
 
     def test_trees_differ_across_the_ensemble(self):
         data = sample_mixture(make_benchmark_mixture(), 150, 2)
-        trees = train_ensemble(data, EnsembleConfig(n_trees=8, min_leaf=5, seed=3))
+        trees = train_ensemble(data, EnsembleConfig(n_trees=8, min_leaf=5), seed=3)
         assert len({serialize_tree(t) for t in trees}) > 1
 
 
@@ -276,10 +277,16 @@ class TestEnsembleSizeStability:
         spec = make_benchmark_mixture()
         train = sample_mixture(spec, 250, 51)
         test = sample_mixture(spec, 500, 52)
-        trees = train_ensemble(train, EnsembleConfig(n_trees=200, min_leaf=5, seed=6))
+        trees = train_ensemble(train, EnsembleConfig(n_trees=200, min_leaf=5), seed=6)
 
         def accuracy(e):
             post = ensemble_posterior_matrix(e, test.features, mode="vote")
             return float(np.mean(np.argmax(post, axis=1) == test.labels))
 
         assert accuracy(trees) >= accuracy(trees[:10]) - 0.01
+
+
+@pytest.mark.parametrize("trees", [[], ()], ids=["list", "tuple"])
+def test_mean_size_of_no_trees_rejected(trees):
+    with pytest.raises(ValueError, match="ensemble is empty"):
+        ensemble_mean_size(trees)

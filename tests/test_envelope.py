@@ -239,3 +239,9 @@ def test_rates_sum_to_one_property(weights, label, p0_offset):
         return
     summary = envelope_rates(posterior[None, :], [label], p0)
     assert summary.rate_correct + summary.rate_uncertain + summary.rate_incorrect == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_no_prediction_rejected(num_classes):
+    with pytest.raises(ValueError, match="need at least one prediction"):
+        envelope_rates(np.empty((0, num_classes)), np.empty(0, dtype=np.int64), 0.99)

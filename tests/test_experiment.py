@@ -1,9 +1,10 @@
 """Config handling, the experiment driver, and report emission."""
 
 import csv
+import dataclasses
 import io
 import re
-from dataclasses import replace
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,83 @@ class TestConfig:
         config = tiny_config(dataset="csv", csv_path="data/50%_split.csv")
         assert parse_config(render_config(config)) == config
         assert parse_config("[experiment]\ncsv_path = 50%%_%(x)s\n").csv_path == "50%%_%(x)s"
+
+    def test_every_config_field_is_one_ini_key(self):
+        # every field of the three configs is set by exactly one INI key
+        # (move_probs by one per entry), so no field goes unset or overwritten
+        sections = {"experiment": ExperimentConfig, "randomized": EnsembleConfig, "mcmc": McmcConfig}
+        expected = Counter(
+            (section, f.name)
+            for section, cls in sections.items()
+            for f in dataclasses.fields(cls)
+            if f.name not in sections
+        )
+        expected[("mcmc", "move_probs")] = len(McmcConfig().move_probs)
+        reached = Counter(
+            (section, field if isinstance(field, str) else field[0])
+            for section, field, _ in experiment._KEYS.values()
+        )
+        assert reached == expected
+
+    def test_round_trip_keeps_every_field(self):
+        config = ExperimentConfig(
+            dataset="csv",
+            csv_path="data/train.csv",
+            label_column=3,
+            train_count=40,
+            test_count=60,
+            technique="bayesian",
+            folds=4,
+            p0=0.9,
+            envelope_mode="average",
+            seed=11,
+            randomized=EnsembleConfig(n_trees=7, min_leaf=3, top_k=4),
+            mcmc=McmcConfig(
+                restarts=3,
+                burn_in=30,
+                post_burn_in=40,
+                move_probs=(0.25, 0.2, 0.15, 0.4),
+                max_leaves=9,
+                thinning=2,
+                dirichlet_alpha=0.5,
+            ),
+        )
+        # every field differs from its default, so a field that no key reaches
+        # comes back as its default and the round trip shows it
+        for value in (config, config.randomized, config.mcmc):
+            default = type(value)()
+            for f in dataclasses.fields(value):
+                assert getattr(value, f.name) != getattr(default, f.name), f.name
+        assert parse_config(render_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: ExperimentConfig(dataset="uci"), "dataset must be 'synthetic' or 'csv', got 'uci'"),
+            (lambda: ExperimentConfig(dataset="csv"), "csv dataset needs csv_path"),
+            (lambda: ExperimentConfig(envelope_mode="mean"), "unknown envelope mode 'mean'"),
+            (lambda: ExperimentConfig(train_count=0), "train_count and test_count must be positive"),
+            (lambda: ExperimentConfig(test_count=-1), "train_count and test_count must be positive"),
+            (lambda: ExperimentConfig(p0=0.0), r"p0 must lie in \(0, 1\], got 0.0"),
+            (lambda: ExperimentConfig(p0=1.5), r"p0 must lie in \(0, 1\], got 1.5"),
+            (lambda: parse_config("seed = 3\n"), "bad config: File contains no section headers"),
+            (lambda: parse_config("[mcmc]\nburn_in = 1\nburn_in = 2\n"), "bad config: .*'burn_in'"),
+        ],
+        ids=[
+            "dataset",
+            "csv-without-path",
+            "envelope-mode",
+            "train-count",
+            "test-count",
+            "p0-zero",
+            "p0-above-one",
+            "no-section-header",
+            "duplicate-key",
+        ],
+    )
+    def test_input_checks_name_the_problem(self, call, match):
+        with pytest.raises(ExperimentError, match=match):
+            call()
 
     def test_defaults_match_protocol(self):
         config = parse_config("")
@@ -179,11 +257,11 @@ class TestRunExperiment:
         # training set and the chain seed are derived as run_experiment does
         train_seed, mcmc_seed = (np.random.SeedSequence((config.seed, s)) for s in (0, 4))
         train = sample_mixture(make_benchmark_mixture(), config.train_count, train_seed)
-        mcmc_config = replace(config.mcmc, seed=int(mcmc_seed.generate_state(1)[0]))
+        chain_seed = int(mcmc_seed.generate_state(1)[0])
         expected = io.StringIO()
         for restart in range(config.mcmc.restarts):
-            seed = np.random.SeedSequence((mcmc_config.seed, restart))
-            run_chain(train, mcmc_config, restart_index=restart, seed=seed, trace=expected)
+            seed = np.random.SeedSequence((chain_seed, restart))
+            run_chain(train, config.mcmc, restart_index=restart, seed=seed, trace=expected)
         assert trace.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_randomized_run_writes_no_trace(self, tmp_path):

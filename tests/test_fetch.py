@@ -1,10 +1,11 @@
 """Dataset fetching: download, checksum, conversion, and caching."""
 
 import hashlib
+import io
 
 import pytest
 
-from treeuq import load_csv
+from treeuq import fetch, load_csv
 from treeuq.fetch import KNOWN_DATASETS, DatasetSource, FetchError, fetch_dataset
 
 
@@ -124,3 +125,29 @@ class TestConverter:
     def test_registry_covers_the_benchmark_suite(self):
         expected = {"ionosphere", "wisconsin", "image", "votes", "sonar", "vehicle", "pima"}
         assert expected <= set(KNOWN_DATASETS)
+
+
+@pytest.mark.parametrize(
+    "raw, source_kwargs, match",
+    [
+        (None, {}, "failed to download file:.*: connection refused"),
+        ("a,b,c\n", {"skip_rows": 1}, "toy: no data rows after skipping 1 header rows"),
+        ("1,2,pos\n3,neg\n", {}, "toy: ragged raw row with 2 cells, expected 3"),
+        ("1,?,pos\n?,2,neg\n", {"drop_missing": True}, "toy: every raw row was dropped during conversion"),
+    ],
+    ids=["download-error", "no-rows-after-skip", "ragged-row", "every-row-dropped"],
+)
+def test_fetch_failures_name_the_problem(tmp_path, monkeypatch, raw, source_kwargs, match):
+    # urlopen serves raw, or fails as a download does when raw is None; a
+    # local URI keeps the test off the network even if the patch missed
+    def urlopen(url):
+        if raw is None:
+            raise OSError("connection refused")
+        return io.BytesIO(raw.encode())
+
+    monkeypatch.setattr(fetch.urllib.request, "urlopen", urlopen)
+    url = (tmp_path / "toy.data").as_uri()
+    monkeypatch.setitem(KNOWN_DATASETS, "toy", DatasetSource(urls=(url,), label_column=-1, **source_kwargs))
+    with pytest.raises(FetchError, match=match):
+        fetch_dataset("toy")
+    assert not (tmp_path / "cache" / "toy.csv").exists()

@@ -301,38 +301,40 @@ class TestRunChain:
 class TestRunWithRestarts:
     def test_pooled_sample_count(self):
         data = continuous_dataset(6, n=25)
-        config = McmcConfig(restarts=4, burn_in=10, post_burn_in=30, thinning=7, max_leaves=5, seed=2)
-        ens = run_with_restarts(data, config)
+        config = McmcConfig(restarts=4, burn_in=10, post_burn_in=30, thinning=7, max_leaves=5)
+        ens = run_with_restarts(data, config, seed=2)
         assert ens.n == 4 * math.ceil(30 / 7)
 
     def test_single_restart_equals_run_chain(self):
         data = continuous_dataset(7, n=25)
-        config = McmcConfig(restarts=1, burn_in=10, post_burn_in=25, max_leaves=5, seed=8)
-        pooled = run_with_restarts(data, config)
-        direct = run_chain(data, config, restart_index=0, seed=np.random.SeedSequence((8, 0)))
+        config = McmcConfig(restarts=1, burn_in=10, post_burn_in=25, max_leaves=5)
+        seed = 8
+        pooled = run_with_restarts(data, config, seed)
+        direct = run_chain(data, config, restart_index=0, seed=np.random.SeedSequence((seed, 0)))
         assert [serialize_tree(s.tree) for s in pooled.samples] == [
             serialize_tree(s.tree) for s in direct
         ]
 
     def test_pooling_is_ordered_by_restart(self):
         data = continuous_dataset(8, n=25)
-        config = McmcConfig(restarts=3, burn_in=5, post_burn_in=10, max_leaves=5, seed=4)
-        ens = run_with_restarts(data, config)
+        config = McmcConfig(restarts=3, burn_in=5, post_burn_in=10, max_leaves=5)
+        seed = 4
+        ens = run_with_restarts(data, config, seed)
         order = [s.restart_index for s in ens.samples]
         assert order == sorted(order)
         # each restart's block is reproducible in isolation
         for restart in range(3):
             block = [s for s in ens.samples if s.restart_index == restart]
             alone = run_chain(
-                data, config, restart_index=restart, seed=np.random.SeedSequence((4, restart))
+                data, config, restart_index=restart, seed=np.random.SeedSequence((seed, restart))
             )
             assert [serialize_tree(s.tree) for s in block] == [serialize_tree(s.tree) for s in alone]
 
     def test_trace_file(self):
         data = continuous_dataset(9, n=25)
-        config = McmcConfig(restarts=2, burn_in=5, post_burn_in=10, max_leaves=5, seed=6)
+        config = McmcConfig(restarts=2, burn_in=5, post_burn_in=10, max_leaves=5)
         trace = io.StringIO()
-        ens = run_with_restarts(data, config, trace=trace)
+        ens = run_with_restarts(data, config, seed=6, trace=trace)
         lines = trace.getvalue().strip().splitlines()
         assert len(lines) == ens.n
         restart, step, leaves, log_post = lines[0].split()
@@ -365,8 +367,8 @@ class TestBayesPredictive:
 
     def test_vote_entries_multiples_of_one_over_n(self):
         data = continuous_dataset(10, n=25)
-        config = McmcConfig(restarts=2, burn_in=20, post_burn_in=25, max_leaves=5, seed=3)
-        ens = run_with_restarts(data, config)
+        config = McmcConfig(restarts=2, burn_in=20, post_burn_in=25, max_leaves=5)
+        ens = run_with_restarts(data, config, seed=3)
         post = bayes_predictive_matrix(ens, data.features, mode="vote")
         scaled = post * ens.n
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
@@ -430,3 +432,17 @@ class TestConfigValidation:
         for alpha in (nan, inf, -inf):
             with pytest.raises(ValueError, match="dirichlet_alpha"):
                 McmcConfig(dirichlet_alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "settings, match",
+    [
+        ({"move_probs": (1.2, -0.2, 0.0, 0.0)}, "move probabilities must be non-negative"),
+        ({"max_leaves": 0}, "need max_leaves >= 1, got 0"),
+        ({"max_leaves": -3}, "need max_leaves >= 1, got -3"),
+    ],
+    ids=["negative-move-probability", "max-leaves-0", "max-leaves-negative"],
+)
+def test_config_checks_name_the_problem(settings, match):
+    with pytest.raises(ValueError, match=match):
+        McmcConfig(**settings)

@@ -20,6 +20,7 @@ from treeuq import (
     make_benchmark_mixture,
     parse_tree,
     propose_move,
+    refresh_counts,
     sample_mixture,
     serialize_tree,
     top_k_splits,
@@ -467,17 +468,64 @@ class TestSerialization:
         ):
             with pytest.raises(ValueError, match=f"tree line {line}:"):
                 parse_tree(text, num_classes=2)
-        # a split on a column the data lacks parses, and each entry point that
-        # routes data through the tree names the feature, not an IndexError
+        # a split on a column the data lacks parses; each entry point that
+        # routes data through the tree rejects it (see the test below)
         outside = parse_tree("0 split 5 0.5\n1 leaf 1 1\n2 leaf 1 1\n", num_classes=2)
-        data = Dataset([[0.0, 1.0], [1.0, 0.0]], [0, 1], 2, ("a", "b"))
-        for use in (
-            lambda: leaf_posterior_matrix(outside, data.features),
-            lambda: leaf_posterior_matrix(outside, np.empty((0, 2))),
-            lambda: ensemble_posterior_matrix([outside], data.features),
-            lambda: log_prior(outside, 10, data),
-            lambda: log_marginal_likelihood(outside, data),
-            lambda: propose_move(outside, data, (0.25, 0.25, 0.25, 0.25), 0),
-        ):
-            with pytest.raises(ValueError, match="feature 5, but the data has 2 columns"):
-                use()
+        assert (outside.root.feature, outside.root.threshold) == (5, 0.5)
+
+
+# a split that reads no real column of the data, and so names the feature, not
+# an IndexError or a column counted from the end: parse_tree rejects a negative
+# feature or a non-finite threshold, but a hand-built TreeNode takes any
+@pytest.mark.parametrize(
+    "feature, threshold, match",
+    [
+        (5, 0.5, "feature 5, but the data has 2 columns"),
+        (-1, 0.5, "feature -1, but the data has 2 columns"),
+        (0, math.nan, "feature 0 at threshold nan, which is not finite"),
+        (1, -math.inf, "feature 1 at threshold -inf, which is not finite"),
+    ],
+    ids=["feature-beyond-columns", "negative-feature", "nan-threshold", "infinite-threshold"],
+)
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda tree, data: leaf_posterior_matrix(tree, data.features),
+        lambda tree, data: leaf_posterior_matrix(tree, np.empty((0, 2))),
+        lambda tree, data: ensemble_posterior_matrix([tree], data.features),
+        lambda tree, data: refresh_counts(tree, data),
+        lambda tree, data: log_prior(tree, 10, data),
+        lambda tree, data: log_marginal_likelihood(tree, data),
+        lambda tree, data: propose_move(tree, data, (0.25, 0.25, 0.25, 0.25), 0),
+    ],
+    ids=[
+        "leaf_posterior_matrix",
+        "leaf_posterior_matrix-0-rows",
+        "ensemble_posterior_matrix",
+        "refresh_counts",
+        "log_prior",
+        "log_marginal_likelihood",
+        "propose_move",
+    ],
+)
+def test_split_that_reads_no_real_column_is_rejected(feature, threshold, match, use):
+    # the split sits below the root, so a check of the root alone misses it
+    bad = TreeNode([1, 1], feature, threshold, left=TreeNode([1, 0]), right=TreeNode([0, 1]))
+    tree = DecisionTree(TreeNode([1, 2], feature=0, threshold=0.5, left=bad, right=TreeNode([0, 1])))
+    data = Dataset([[0.0, 1.0], [0.2, 0.0], [1.0, 0.5]], [0, 1, 1], 2, ("a", "b"))
+    with pytest.raises(ValueError, match=match):
+        use(tree, data)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: grow_randomized(Dataset([[0.0], [1.0]], [0, 1], 2, ("a",)), 0), "min_leaf >= 1, got 0"),
+        (lambda: parse_tree("0 split 0 0.5\n1 leaf 1 1\n", num_classes=2), "truncated tree text"),
+        (lambda: parse_tree("0 leaf 1 1\n1 leaf 2 0\n", num_classes=2), "trailing lines after tree"),
+    ],
+    ids=["grow-min-leaf-0", "parse-truncated", "parse-trailing-lines"],
+)
+def test_tree_input_checks_name_the_problem(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
