@@ -45,7 +45,6 @@ from .experiment import (
     render_config,
     run_experiment,
 )
-from .fetch import FetchError, KNOWN_DATASETS, fetch_dataset
 from .mcmc import (
     ChainSample,
     McmcConfig,
@@ -66,7 +65,6 @@ from .tree import (
     TreeNode,
     enumerate_splits,
     grow_randomized,
-    information_gain,
     leaf_posterior_matrix,
     parse_tree,
     serialize_tree,

@@ -1,4 +1,4 @@
-"""Command-line interface: run experiments, fetch datasets, sample the benchmark."""
+"""Command-line interface: run experiments, sample the benchmark."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from .experiment import (
     render_config,
     run_experiment,
 )
-from .fetch import fetch_dataset
 
 
 @click.group()
@@ -59,21 +58,6 @@ def run(config_path, preset, seed, fmt, out_path, trace_path, print_config) -> N
             click.echo(text, nl=False)
     except Exception as exc:  # noqa: BLE001 - one-line diagnostic contract
         _fail(str(exc))
-
-
-@main.command()
-@click.argument("dataset_id")
-@click.option("--url", default=None, help="Override the source URL.")
-@click.option("--checksum", default=None, help="sha256 of the raw download.")
-@click.option("--dest", type=click.Path(), default=None, help="Converted CSV destination.")
-def fetch(dataset_id, url, checksum, dest) -> None:
-    """Download DATASET_ID, verify it, and convert it to the CSV schema."""
-    try:
-        path = fetch_dataset(dataset_id, url=url, checksum=checksum, dest=dest)
-    except Exception as exc:  # noqa: BLE001
-        _fail(str(exc))
-    else:
-        click.echo(str(path))
 
 
 @main.command()

@@ -176,12 +176,12 @@ class FoldSplit:
         return np.flatnonzero(self.fold_assignments != fold)
 
 
-def load_csv(path, label_column: str | int) -> Dataset:
+def load_csv(path, label_column: str) -> Dataset:
     """Load a classification dataset from a headered CSV file.
 
-    The label column is selected by header name or 0-based index. Label
-    tokens are re-encoded densely as 0..C-1 in first-appearance order; every
-    other column must parse as a real number.
+    The label column is selected by its header name. Label tokens are
+    re-encoded densely as 0..C-1 in first-appearance order; every other
+    column must parse as a real number.
 
     Raises:
         DatasetError: on unparsable cells (named by row and column), missing
@@ -196,15 +196,10 @@ def load_csv(path, label_column: str | int) -> Dataset:
         rows = list(reader)
 
     header = [h.strip() for h in header]
-    if isinstance(label_column, int):
-        if not -len(header) <= label_column < len(header):
-            raise DatasetError(f"{path}: label column index {label_column} out of range")
-        label_idx = label_column % len(header)
-    else:
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise DatasetError(f"{path}: no column named {label_column!r}") from None
+    try:
+        label_idx = header.index(label_column)
+    except ValueError:
+        raise DatasetError(f"{path}: no column named {label_column!r}") from None
 
     feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not feature_names:

@@ -66,7 +66,7 @@ class ExperimentConfig:
 
     dataset: str = "synthetic"
     csv_path: str | None = None
-    label_column: str | int = "class"
+    label_column: str = "class"
     train_count: int = 250
     test_count: int = 1000
     technique: str = "both"
@@ -94,14 +94,6 @@ class ExperimentConfig:
             raise ExperimentError(f"p0 must lie in (0, 1], got {self.p0}")
 
 
-def _label_column(raw: str) -> str | int:
-    """A column index when the value is a whole number, else a column name."""
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
 # INI key -> (section, config field, parser). [experiment] keys set fields of
 # ExperimentConfig, [randomized] and [mcmc] keys fields of the sub-config of
 # that name; (field, i) is entry i of a tuple field. Defaults live only on the
@@ -109,7 +101,7 @@ def _label_column(raw: str) -> str | int:
 _KEYS = {
     "dataset": ("experiment", "dataset", str),
     "csv_path": ("experiment", "csv_path", str),
-    "label_column": ("experiment", "label_column", _label_column),
+    "label_column": ("experiment", "label_column", str),
     "train_count": ("experiment", "train_count", int),
     "test_count": ("experiment", "test_count", int),
     "technique": ("experiment", "technique", str),

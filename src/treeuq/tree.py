@@ -23,7 +23,6 @@ __all__ = [
     "TreeNode",
     "enumerate_splits",
     "grow_randomized",
-    "information_gain",
     "leaf_posterior_matrix",
     "parse_tree",
     "serialize_tree",
@@ -110,9 +109,13 @@ def tree_size(tree: DecisionTree) -> int:
 
 
 def _check_rule(feature: int, threshold: float, columns: int) -> None:
-    """Raise ValueError unless a split reads one of columns at a finite threshold."""
-    if not 0 <= feature < columns:
-        raise ValueError(f"tree splits on feature {feature}, but the data has {columns} columns")
+    """Raise ValueError unless a split reads one of columns at a finite threshold.
+
+    The feature must be an int or a numpy integer; a bool, which Python would
+    read as column 0 or 1, is neither.
+    """
+    if not (type(feature) is int or isinstance(feature, np.integer)) or not 0 <= feature < columns:
+        raise ValueError(f"tree splits on feature {feature!r}, but the data has {columns} columns")
     if not -np.inf < threshold < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tree splits on feature {feature} at threshold {threshold}, which is not finite")
 
@@ -143,23 +146,6 @@ def _gain_bits(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
     return _entropy_bits(parent) - (n_left * _entropy_bits(left) + n_right * _entropy_bits(right)) / n
 
 
-def information_gain(parent_counts, left_counts, right_counts) -> float:
-    """Information gain in bits of a split of parent_counts into the children.
-
-    Raises:
-        ValueError: if the child counts do not sum to the parent counts or the
-            parent has fewer than 2 points.
-    """
-    parent = np.asarray(parent_counts, dtype=np.int64)
-    left = np.asarray(left_counts, dtype=np.int64)
-    right = np.asarray(right_counts, dtype=np.int64)
-    if not np.array_equal(left + right, parent):
-        raise ValueError("left and right counts must sum to the parent counts")
-    if parent.sum() < 2:
-        raise ValueError("parent must contain at least 2 points")
-    return float(_gain_bits(parent[None, :], left[None, :], right[None, :])[0])
-
-
 def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[SplitRule, float]]:
     """All candidate splits of a node's data with their information gains.
 
@@ -168,8 +154,7 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[SplitRule, floa
     dropped. Candidates are ordered by feature index, then threshold.
 
     Every feature is scored in one pass: the columns are sorted together, and
-    the gains of all candidates come from one ``_gain_bits`` call. Each gain
-    equals ``information_gain`` of the candidate's counts bit for bit.
+    the gains of all candidates come from one ``_gain_bits`` call.
     """
     n = data.n
     if n < 2:
@@ -190,7 +175,7 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[SplitRule, floa
     left = np.cumsum(onehot[order], axis=0)[cuts, columns]
     right = parent[None, :] - left
     # one parent row, so its entropy is computed once and is the same for
-    # every candidate, as in information_gain
+    # every candidate
     gains = _gain_bits(parent[None, :], left, right)
     thresholds = (sorted_values[cuts, columns] + sorted_values[cuts + 1, columns]) / 2.0
     rules = map(_new_rule, zip(columns.tolist(), thresholds.tolist()))

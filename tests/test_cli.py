@@ -1,5 +1,9 @@
 """Command-line interface behavior."""
 
+import re
+import shlex
+from pathlib import Path
+
 from click.testing import CliRunner
 
 from treeuq import load_csv, parse_config
@@ -128,24 +132,19 @@ class TestSynthCommand:
         assert result.exit_code == 1
 
 
-class TestFetchCommand:
-    def test_unknown_dataset_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TREEUQ_CACHE", str(tmp_path))
-        runner = CliRunner()
-        result = runner.invoke(main, ["fetch", "made-up-id"])
-        assert result.exit_code == 1
-        assert "error:" in result.output
+def test_readme_quick_start_commands_exist():
+    """Each `treeuq` line of README's Quick start names a command and options that exist.
 
-    def test_fetch_from_local_uri(self, tmp_path, monkeypatch):
-        from treeuq.fetch import KNOWN_DATASETS, DatasetSource
-
-        monkeypatch.setenv("TREEUQ_CACHE", str(tmp_path / "cache"))
-        raw = tmp_path / "toy.raw"
-        raw.write_text("1,2,a\n3,4,b\n", encoding="utf-8")
-        monkeypatch.setitem(
-            KNOWN_DATASETS, "toy", DatasetSource(urls=(raw.as_uri(),), label_column=-1)
-        )
-        runner = CliRunner()
-        result = runner.invoke(main, ["fetch", "toy"])
-        assert result.exit_code == 0
-        assert result.output.strip().endswith("toy.csv")
+    With --help appended, click rejects an unknown command or option name
+    and prints help, without running anything, for a known one.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```bash\n(.*?)```", section, flags=re.DOTALL)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["treeuq"]]
+    assert commands
+    runner = CliRunner()
+    for args in commands:
+        result = runner.invoke(main, [*args, "--help"])
+        assert result.exit_code == 0, f"README runs `treeuq {shlex.join(args)}`: {result.output}"

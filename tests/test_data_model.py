@@ -73,10 +73,11 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="one class"):
             load_csv(path, "y")
 
-    def test_label_column_by_index(self, tmp_path):
-        path = _write(tmp_path / "byidx.csv", "y,x\nu,1.0\nv,2.0\n")
-        data = load_csv(path, 0)
-        assert data.feature_names == ("x",)
+    def test_label_column_named_like_a_number(self, tmp_path):
+        # a name, not an index: "3" is the header of column 0
+        path = _write(tmp_path / "digits.csv", "3,0\nu,1.0\nv,2.0\n")
+        data = load_csv(path, "3")
+        assert data.feature_names == ("0",)
         assert data.labels.tolist() == [0, 1]
 
     def test_missing_label_column(self, tmp_path):
@@ -396,7 +397,8 @@ def _load(text, label_column="class"):
         (lambda _: FoldSplit([0, 0, 0, 1], 2), ValueError, "fold sizes must differ by at most 1"),
         (lambda _: FoldSplit([0, 1, 2], 2), ValueError, "fold sizes must differ by at most 1"),
         (_load(""), DatasetError, "file is empty"),
-        (_load("x,class\n1.0,a\n", 2), DatasetError, "label column index 2 out of range"),
+        # a whole number names a column; it is not read as an index
+        (_load("x,class\n1.0,a\n", "0"), DatasetError, "no column named '0'"),
         (_load("class\na\nb\n"), DatasetError, "no feature columns besides the label"),
         (_load("x,class\n"), DatasetError, "no data rows"),
         (_load("x,class\n1.0,a\n2.0, \n"), DatasetError, "row 2, column 'class': empty label"),

@@ -78,7 +78,7 @@ class TestConfig:
         config = ExperimentConfig(
             dataset="csv",
             csv_path="data/train.csv",
-            label_column=3,
+            label_column="3",
             train_count=40,
             test_count=60,
             technique="bayesian",

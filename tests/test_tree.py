@@ -13,7 +13,6 @@ from treeuq import (
     ensemble_posterior_matrix,
     enumerate_splits,
     grow_randomized,
-    information_gain,
     leaf_posterior_matrix,
     log_marginal_likelihood,
     log_prior,
@@ -48,6 +47,21 @@ def oracle_gain(parent, left, right) -> float:
         - sum(left) / n * oracle_entropy(left)
         - sum(right) / n * oracle_entropy(right)
     )
+
+
+def information_gain(parent_counts, left_counts, right_counts) -> float:
+    """Gain in bits of one split, through the package's own ``_gain_bits``.
+
+    The reference each ``enumerate_splits`` gain must equal bit for bit.
+    """
+    parent = np.asarray(parent_counts, dtype=np.int64)
+    left = np.asarray(left_counts, dtype=np.int64)
+    right = np.asarray(right_counts, dtype=np.int64)
+    if not np.array_equal(left + right, parent):
+        raise ValueError("left and right counts must sum to the parent counts")
+    if parent.sum() < 2:
+        raise ValueError("parent must contain at least 2 points")
+    return float(_gain_bits(parent[None, :], left[None, :], right[None, :])[0])
 
 
 def oracle_splits(data: Dataset, min_leaf: int):
@@ -475,17 +489,27 @@ class TestSerialization:
 
 
 # a split that reads no real column of the data, and so names the feature, not
-# an IndexError or a column counted from the end: parse_tree rejects a negative
-# feature or a non-finite threshold, but a hand-built TreeNode takes any
+# an IndexError or a column counted from the end or read as 0 or 1: parse_tree
+# rejects a negative feature or a non-finite threshold, but a hand-built
+# TreeNode takes any
 @pytest.mark.parametrize(
     "feature, threshold, match",
     [
         (5, 0.5, "feature 5, but the data has 2 columns"),
         (-1, 0.5, "feature -1, but the data has 2 columns"),
+        (0.5, 0.5, "feature 0.5, but the data has 2 columns"),
+        (True, 0.5, "feature True, but the data has 2 columns"),
         (0, math.nan, "feature 0 at threshold nan, which is not finite"),
         (1, -math.inf, "feature 1 at threshold -inf, which is not finite"),
     ],
-    ids=["feature-beyond-columns", "negative-feature", "nan-threshold", "infinite-threshold"],
+    ids=[
+        "feature-beyond-columns",
+        "negative-feature",
+        "float-feature",
+        "bool-feature",
+        "nan-threshold",
+        "infinite-threshold",
+    ],
 )
 @pytest.mark.parametrize(
     "use",
