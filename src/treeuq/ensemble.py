@@ -7,8 +7,9 @@ class boundaries. The ensemble posterior either averages per-tree posteriors
 or counts per-tree argmax votes; the vote form is what the uncertainty
 envelope consumes. The Bayesian sampler's retained trees go through the same
 scorer and the same size summary, so both techniques are judged by one
-function each. Consecutive sampler trees share every subtree their move left
-untouched, so the scorer re-routes only the rows of the changed subtree.
+function each. The scorer keeps one row order for all the trees of a call,
+in which every node's rows form one slice. A sampler tree splits like its
+predecessor above its move, so the rows above the move are not re-routed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .tree import DecisionTree, _feature_matrix, _route, grow_randomized, leaf_posterior_matrix, tree_size
+from .tree import DecisionTree, _feature_matrix, _route, _router, grow_randomized, leaf_posterior_matrix, tree_size
 
 __all__ = [
     "EnsembleConfig",
@@ -95,11 +96,13 @@ def ensemble_posterior_matrix(
     that are not 2-D, or an alpha that is not finite and > 0, raise
     ValueError.
 
-    Each distinct tree re-routes only the rows that reach a node it does not
-    share by reference with the previous one: after a sampler move, the rows
-    of the changed subtree; randomised trees share nothing and route all.
-    Vote mode credits a row's weight to its label when the label changes, an
-    exact integer sum, so both modes equal scoring each tree alone.
+    All distinct trees share one router: where a tree splits like the
+    previous one, at a position and above it, the rows are not re-routed,
+    and a subtree shared by reference is left out with its rows. After a
+    sampler move, only the moved subtree's slices are partitioned again;
+    randomised trees share no split and route all. Vote mode credits a row's
+    weight to its label when the label changes, an exact integer sum, so
+    both modes equal scoring each tree alone.
     """
     if len(trees) < 1:
         raise ValueError("ensemble is empty")
@@ -116,12 +119,13 @@ def ensemble_posterior_matrix(
 
     features = _feature_matrix(features)
     n = features.shape[0]
+    router = _router(features)
     out = np.zeros((n, num_classes))
     posterior = np.empty((n, num_classes))  # average: the previous tree's, per row
     label = np.zeros(n, dtype=np.intp)  # vote: the previous tree's argmax, per row
     since, total, previous = np.zeros(n), 0, None  # vote: total weight when label[row] was set
     for tree, weight in distinct.values():
-        routed = _route(tree.root, features, alpha, previous)
+        routed = _route(tree.root, router, alpha, previous)
         previous = tree.root
         if mode == "average":
             for rows, leaf in routed:
@@ -156,9 +160,17 @@ def best_single_tree(trees: Sequence[DecisionTree], validation: Dataset) -> tupl
 
 
 def ensemble_mean_size(trees: Sequence[DecisionTree]) -> tuple[float, float]:
-    """Sample mean and sample standard deviation of the trees' leaf counts."""
+    """Sample mean and sample standard deviation of the trees' leaf counts.
+
+    A tree object that occurs several times (a rejected MH step keeps its
+    state) is walked once.
+    """
     if len(trees) < 1:
         raise ValueError("ensemble is empty")
-    sizes = np.array([tree_size(tree) for tree in trees], dtype=np.float64)
+    leaves: dict[int, int] = {}
+    for tree in trees:
+        if id(tree) not in leaves:
+            leaves[id(tree)] = tree_size(tree)
+    sizes = np.array([leaves[id(tree)] for tree in trees], dtype=np.float64)
     std = float(sizes.std(ddof=1)) if sizes.size > 1 else 0.0
     return float(sizes.mean()), std

@@ -208,44 +208,66 @@ def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float
     the leaf it reaches; ``alpha`` is the symmetric Dirichlet smoothing count,
     and alpha=1 is Laplace smoothing. Features that are not 2-D, a split on
     a column that features lacks or at a non-finite threshold, or an alpha
-    that is not finite and > 0 raise ValueError.
+    that is not finite and > 0 raise ValueError. The rows go through
+    ``_route`` with a fresh router and no previous tree.
     """
     if not 0 < alpha < np.inf:  # NaN fails both comparisons
         raise ValueError(f"need finite alpha > 0, got {alpha}")
     features = _feature_matrix(features)
     out = np.empty((features.shape[0], tree.root.counts.size))
-    for rows, posterior in _route(tree.root, features, alpha):
+    for rows, posterior in _route(tree.root, _router(features), alpha):
         out[rows] = posterior
     return out
 
 
-def _route(root: TreeNode, features: np.ndarray, alpha: float, previous: TreeNode | None = None):
-    """(rows, leaf posterior) for each leaf of root that rows of features reach.
+def _router(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
+    """Routing state for features, kept by one call for all the trees it routes.
 
-    With ``previous``, a root the rows went through before, the walk descends
-    both trees while their nodes split alike and leaves out the rows that reach
-    a node both share by reference. Every unshared node is visited, even without
-    rows, so a split on a column that features lacks, or at a non-finite
-    threshold, raises ValueError.
+    (features, order, mids): the features; a permutation of their rows in
+    which every node's rows form one slice; and where each internal node's
+    slice splits, keyed by tree position (root 1, children 2p and 2p + 1).
     """
-    columns = features.shape[1]
+    return features, np.arange(features.shape[0]), {}
+
+
+def _route(root: TreeNode, router: tuple, alpha: float, previous: TreeNode | None = None):
+    """(rows, leaf posterior) for each leaf of root that rows reach.
+
+    ``previous`` is the root routed last with ``router``, if any. The walk
+    descends both trees by position. While a node and every node above it
+    split like the previous tree's, its rows are where that tree left them:
+    its stored mid is reused, and a node that is the previous one itself is
+    left out with its rows. Below the first changed split, each slice of the
+    row order is partitioned in place. The rows are views into that order,
+    valid until the next route. Every split not shared by reference is
+    checked, even without rows, so one on a column that features lacks, or
+    at a non-finite threshold, raises ValueError.
+    """
+    features, order, mids = router
     routed = []
-    stack = [(root, previous, np.arange(features.shape[0]))]
+    stack = [(root, previous, 1, 0, order.size)]
     while stack:
-        node, old, rows = stack.pop()
+        node, old, position, lo, hi = stack.pop()
         if node is old:
             continue
         if node.left is None:
-            if rows.size:
+            if hi > lo:
                 counts = node.counts.astype(np.float64)
-                routed.append((rows, (counts + alpha) / (counts.sum() + alpha * counts.size)))
+                routed.append((order[lo:hi], (counts + alpha) / (counts.sum() + alpha * counts.size)))
             continue
-        _check_rule(node.feature, node.threshold, columns)
-        if old is not None and (old.feature != node.feature or old.threshold != node.threshold):
+        _check_rule(node.feature, node.threshold, features.shape[1])
+        if old is not None and old.feature == node.feature and old.threshold == node.threshold:
+            mid = mids[position]
+        else:
             old = None
-        goes_left = features[rows, node.feature] <= node.threshold
-        stack.append((node.right, old and old.right, rows[~goes_left]))
-        stack.append((node.left, old and old.left, rows[goes_left]))
+            rows = order[lo:hi]
+            goes_left = features[rows, node.feature] <= node.threshold
+            left, right = rows.compress(goes_left), rows.compress(~goes_left)
+            mid = lo + left.size
+            order[lo:mid], order[mid:hi] = left, right
+            mids[position] = mid
+        stack.append((node.right, old and old.right, 2 * position + 1, mid, hi))
+        stack.append((node.left, old and old.left, 2 * position, lo, mid))
     return routed
 
 

@@ -1,5 +1,9 @@
 """Randomised ensemble training, posteriors, and best-single-tree selection."""
 
+import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from treeuq import (
     sample_prior_tree,
     serialize_tree,
     train_ensemble,
+    tree_size,
 )
 from treeuq import ensemble
 
@@ -57,6 +62,22 @@ def plain_loop(trees, features, mode, alpha):
 
 def must_not_route(*args, **kwargs):
     raise AssertionError("a tree was routed before the input was checked")
+
+
+def split(feature, threshold, left, right):
+    """Internal node over two children; its counts are theirs summed."""
+    return TreeNode(left.counts + right.counts, feature, threshold, left, right)
+
+
+def leaf(*counts):
+    return TreeNode(counts)
+
+
+def chain_trees(restarts: int, seed: int) -> list[DecisionTree]:
+    """Retained trees of short sampler chains on 150 mixture rows."""
+    data = sample_mixture(make_benchmark_mixture(), 150, 12)
+    chain = run_with_restarts(data, McmcConfig(restarts=restarts, burn_in=60, post_burn_in=80), seed=seed)
+    return [s.tree for s in chain.samples]
 
 
 class TestEnsemblePosterior:
@@ -106,8 +127,9 @@ class TestEnsemblePosterior:
     @pytest.mark.parametrize("mode", ["vote", "average"])
     @pytest.mark.parametrize("alpha", [1.0, 2.5])
     def test_trees_sharing_subtrees_match_a_plain_loop_bit_for_bit(self, mode, alpha):
-        # the scorer re-routes only the rows a tree does not share with the
-        # previous one; every case must still equal scoring each tree alone
+        # the scorer re-routes only the rows below a tree's first split that
+        # differs from the previous tree's; every case must still equal
+        # scoring each tree alone
         spec = make_benchmark_mixture()
         train, test = sample_mixture(spec, 150, 12), sample_mixture(spec, 400, 13)
         chain = run_with_restarts(train, McmcConfig(restarts=3, burn_in=60, post_burn_in=80), seed=4)
@@ -139,6 +161,66 @@ class TestEnsemblePosterior:
             post = ensemble_posterior_matrix(trees, features, mode=mode, alpha=alpha)
             assert post.shape == (features.shape[0], trees[0].root.counts.size)
             assert np.array_equal(post, plain_loop(trees, features, mode, alpha))
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    def test_slices_are_kept_by_position_and_redone_below_a_changed_split(self, mode):
+        # the scorer reuses a node's slice bounds only where the previous tree
+        # splits alike at the same position and above it
+        features = np.random.default_rng(8).standard_normal((400, 2))
+        # one node object at two positions; its clone at both positions of the
+        # next tree splits alike but votes the other way
+        shared = split(1, 0.25, leaf(6, 1), leaf(1, 6))
+        clone = split(1, 0.25, leaf(1, 6), leaf(6, 1))
+        t1 = DecisionTree(split(0, 0.0, leaf(5, 2), leaf(2, 5)))
+        t2 = DecisionTree(split(0, 0.0, shared, shared))
+        t3 = DecisionTree(split(0, 0.0, clone, clone))
+        # a change move that keeps both subtrees by reference under a moved threshold
+        below = split(1, -0.5, leaf(4, 1), leaf(1, 4)), split(1, 0.5, leaf(1, 3), leaf(3, 1))
+        kept = DecisionTree(split(0, 0.0, *below))
+        moved = DecisionTree(split(0, 0.7, *below))
+        trees = chain_trees(restarts=2, seed=4)
+        root = next(t.root for t in trees if not t.root.is_leaf)
+        moved_root = DecisionTree(TreeNode(root.counts, root.feature, root.threshold + 0.3, root.left, root.right))
+        cases = (
+            [t1, t2, t3, t1],
+            trees[::-1],
+            [trees[i] for i in np.random.default_rng(1).permutation(len(trees))],
+            [kept, moved, kept],
+            [DecisionTree(root), moved_root, DecisionTree(root)],
+        )
+        for case in cases:
+            post = ensemble_posterior_matrix(case, features, mode=mode)
+            assert np.array_equal(post, plain_loop(case, features, mode, 1.0))
+
+    @pytest.mark.parametrize("feature", [True, 1.0, np.float64(1.0)], ids=["bool", "float", "numpy-float"])
+    def test_split_equal_to_the_previous_ones_is_still_checked(self, feature):
+        # each feature compares equal to 1, so the slice bounds of the previous
+        # tree's split on column 1 are reused, but the split must still fail
+        good = DecisionTree(split(1, 0.0, leaf(2, 1), leaf(1, 2)))
+        bad = DecisionTree(split(feature, 0.0, leaf(2, 1), leaf(1, 2)))
+        message = re.escape(f"tree splits on feature {feature!r}, but the data has 2 columns")
+        with pytest.raises(ValueError, match=message):
+            ensemble_posterior_matrix([good, bad], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    def test_concurrent_calls_equal_one_thread(self, mode):
+        # the routing state lives in the call, so calls that route the same
+        # trees in different orders at once do not see each other's state
+        trees = chain_trees(restarts=2, seed=4)
+        features = sample_mixture(make_benchmark_mixture(), 20000, 15).features
+        orders = (trees, trees[::-1], trees, trees[::-1])
+        expected = [ensemble_posterior_matrix(order, features, mode=mode) for order in orders[:2]]
+        start = threading.Barrier(len(orders))
+
+        def score(order):
+            start.wait()
+            return [ensemble_posterior_matrix(order, features, mode=mode) for _ in range(3)]
+
+        with ThreadPoolExecutor(len(orders)) as pool:
+            results = list(pool.map(score, orders))
+        for i, posts in enumerate(results):
+            for post in posts:
+                assert np.array_equal(post, expected[i % 2])
 
     def test_consecutive_chain_trees_route_only_the_changed_rows(self, monkeypatch):
         data = sample_mixture(make_benchmark_mixture(), 150, 14)
@@ -290,3 +372,20 @@ class TestEnsembleSizeStability:
 def test_mean_size_of_no_trees_rejected(trees):
     with pytest.raises(ValueError, match="ensemble is empty"):
         ensemble_mean_size(trees)
+
+
+def test_mean_size_walks_each_tree_object_once(monkeypatch):
+    trees = chain_trees(restarts=2, seed=4)
+    assert len({id(t) for t in trees}) < len(trees)  # a rejected step keeps its tree
+    copies = [parse_tree(serialize_tree(t), 2) for t in trees]
+    walked = []
+
+    def counting_size(tree):
+        walked.append(tree)
+        return tree_size(tree)
+
+    monkeypatch.setattr(ensemble, "tree_size", counting_size)
+    repeated = ensemble_mean_size(trees)
+    assert len(walked) == len({id(t) for t in trees})
+    sizes = np.array([tree_size(t) for t in trees], dtype=np.float64)
+    assert repeated == ensemble_mean_size(copies) == (float(sizes.mean()), float(sizes.std(ddof=1)))
