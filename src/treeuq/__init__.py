@@ -10,7 +10,6 @@ threshold.
 from .data import (
     Dataset,
     DatasetError,
-    FoldSplit,
     GaussianMixtureSpec,
     MixtureComponent,
     bayes_posterior,
@@ -61,7 +60,6 @@ from .mcmc import (
 )
 from .tree import (
     DecisionTree,
-    SplitRule,
     TreeNode,
     enumerate_splits,
     grow_randomized,

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Dataset",
     "DatasetError",
-    "FoldSplit",
     "GaussianMixtureSpec",
     "MixtureComponent",
     "bayes_posterior",
@@ -53,15 +52,24 @@ class Dataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        labels = np.asarray(self.labels)
         if features.ndim != 2 or features.shape[0] < 1:
             raise DatasetError(f"features must be a non-empty 2-D matrix, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise DatasetError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows"
             )
+        if labels.dtype.kind not in "biu":  # integer labels need no check
+            with np.errstate(invalid="ignore"):  # a NaN label casts to an arbitrary integer
+                whole = labels.astype(np.int64)
+            fractional = whole != labels
+            if fractional.any():
+                bad = int(np.argmax(fractional))
+                raise DatasetError(f"label {bad} is {labels[bad]}, not a whole number")
+            labels = whole
+        labels = labels.astype(np.int64, copy=False)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
         if self.num_classes < 2:
             raise DatasetError(f"need at least 2 classes, got {self.num_classes}")
         if labels.min() < 0 or labels.max() >= self.num_classes:
@@ -155,39 +163,20 @@ class GaussianMixtureSpec:
         return priors
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    """Assignment of n data points to k cross-validation folds."""
-
-    fold_assignments: np.ndarray
-    k: int
-
-    def __post_init__(self) -> None:
-        assignments = np.asarray(self.fold_assignments, dtype=np.int64)
-        object.__setattr__(self, "fold_assignments", assignments)
-        sizes = np.bincount(assignments, minlength=self.k)
-        if len(sizes) != self.k or sizes.max() - sizes.min() > 1:
-            raise ValueError("fold sizes must differ by at most 1")
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.fold_assignments != fold)
-
-
 def load_csv(path, label_column: str) -> Dataset:
     """Load a classification dataset from a headered CSV file.
 
     The label column is selected by its header name. Label tokens are
     re-encoded densely as 0..C-1 in first-appearance order; every other
-    column must parse as a real number.
+    column must parse as a real number. A byte-order mark before the header
+    is ignored, and blank lines are skipped without shifting the row numbers
+    that errors name.
 
     Raises:
         DatasetError: on unparsable cells (named by row and column), missing
             label column, ragged rows, or a single-class file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -204,19 +193,22 @@ def load_csv(path, label_column: str) -> Dataset:
     feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not feature_names:
         raise DatasetError(f"{path}: no feature columns besides the label")
-    if not rows:
+    if not any(rows):
         raise DatasetError(f"{path}: no data rows")
 
     label_codes: dict[str, int] = {}
     features = np.empty((len(rows), len(feature_names)), dtype=np.float64)
     labels = np.empty(len(rows), dtype=np.int64)
+    n = 0
     for r, row in enumerate(rows, start=1):
+        if not row:  # a blank line; csv.DictReader skips them too
+            continue
         if len(row) != len(header):
             raise DatasetError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         token = row[label_idx].strip()
         if not token:
             raise DatasetError(f"{path}: row {r}, column {header[label_idx]!r}: empty label")
-        labels[r - 1] = label_codes.setdefault(token, len(label_codes))
+        labels[n] = label_codes.setdefault(token, len(label_codes))
         values = []
         for i, cell in enumerate(row):
             if i == label_idx:
@@ -230,13 +222,14 @@ def load_csv(path, label_column: str) -> Dataset:
             if not math.isfinite(value):
                 raise DatasetError(f"{path}: row {r}, column {header[i]!r}: non-finite value")
             values.append(value)
-        features[r - 1] = values
+        features[n] = values
+        n += 1
 
     if len(label_codes) < 2:
         raise DatasetError(f"{path}: only one class present; classification is undefined")
     return Dataset(
-        features=features,
-        labels=labels,
+        features=features[:n],
+        labels=labels[:n],
         num_classes=len(label_codes),
         feature_names=feature_names,
     )
@@ -336,8 +329,11 @@ def estimate_bayes_error(spec: GaussianMixtureSpec, n: int, seed) -> float:
     return float(np.mean(predicted != data.labels))
 
 
-def kfold_split(n: int, k: int, seed) -> FoldSplit:
-    """Random partition of 0..n-1 into k folds of near-equal size."""
+def kfold_split(n: int, k: int, seed) -> np.ndarray:
+    """Fold index in 0..k-1 of each of n rows, as an int64 array.
+
+    The folds are a random partition whose sizes differ by at most 1.
+    """
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if k > n:
@@ -351,4 +347,4 @@ def kfold_split(n: int, k: int, seed) -> FoldSplit:
     for fold, size in enumerate(sizes):
         assignments[perm[start : start + size]] = fold
         start += size
-    return FoldSplit(fold_assignments=assignments, k=k)
+    return assignments

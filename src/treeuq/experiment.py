@@ -274,8 +274,8 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
     all_trees: list[DecisionTree] = []
     for f in range(config.folds):
         seed = int(np.random.SeedSequence((config.seed, 3, f)).generate_state(1)[0])
-        trees = train_ensemble(train.subset(folds.train_indices(f)), config.randomized, seed)
-        validation = train.subset(folds.test_indices(f))
+        trees = train_ensemble(train.subset(np.flatnonzero(folds != f)), config.randomized, seed)
+        validation = train.subset(np.flatnonzero(folds == f))
 
         posteriors = ensemble_posterior_matrix(trees, test.features, mode=config.envelope_mode)
         best_idx, _ = best_single_tree(trees, validation)

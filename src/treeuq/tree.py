@@ -10,8 +10,6 @@ no class ever gets exactly zero probability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +17,6 @@ from .data import Dataset
 
 __all__ = [
     "DecisionTree",
-    "SplitRule",
     "TreeNode",
     "enumerate_splits",
     "grow_randomized",
@@ -30,19 +27,6 @@ __all__ = [
     "tree_size",
     "walk",
 ]
-
-
-class SplitRule(NamedTuple):
-    """Axis-aligned question: is x[feature] <= threshold?"""
-
-    feature: int
-    threshold: float
-
-
-# SplitRule._make without its Python-level frame and length check: a node can
-# have thousands of candidates, and building their rules is a large share of
-# the split search
-_new_rule = partial(tuple.__new__, SplitRule)
 
 
 class TreeNode:
@@ -146,12 +130,14 @@ def _gain_bits(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
     return _entropy_bits(parent) - (n_left * _entropy_bits(left) + n_right * _entropy_bits(right)) / n
 
 
-def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[SplitRule, float]]:
-    """All candidate splits of a node's data with their information gains.
+def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[int, float, float]]:
+    """All candidate splits of a node's data as (feature, threshold, gain) triples.
 
     One candidate per (feature, midpoint between consecutive distinct sorted
-    values); candidates leaving fewer than min_leaf points in either child are
-    dropped. Candidates are ordered by feature index, then threshold.
+    values); a candidate sends ``x[feature] <= threshold`` left, and its gain
+    is the information gain in bits. Candidates leaving fewer than min_leaf
+    points in either child are dropped. Candidates are ordered by feature
+    index, then threshold.
 
     Every feature is scored in one pass: the columns are sorted together, and
     the gains of all candidates come from one ``_gain_bits`` call.
@@ -178,14 +164,16 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[SplitRule, floa
     # every candidate
     gains = _gain_bits(parent[None, :], left, right)
     thresholds = (sorted_values[cuts, columns] + sorted_values[cuts + 1, columns]) / 2.0
-    rules = map(_new_rule, zip(columns.tolist(), thresholds.tolist()))
-    return list(zip(rules, gains.tolist()))
+    return list(zip(columns.tolist(), thresholds.tolist(), gains.tolist()))
 
 
 def top_k_splits(
-    candidates: list[tuple[SplitRule, float]], k: int
-) -> list[tuple[SplitRule, float]]:
-    """The k highest-gain candidates; ties go to lower feature, then threshold.
+    candidates: list[tuple[int, float, float]], k: int
+) -> list[tuple[int, float, float]]:
+    """The k highest-gain (feature, threshold, gain) triples, best first.
+
+    Ties go to lower feature, then lower threshold; equal triples keep their
+    input order.
 
     Only the candidates whose gain reaches the k-th largest gain can rank in
     the top k, so only those are sorted; keeping every tie at that cut-off
@@ -194,10 +182,10 @@ def top_k_splits(
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if len(candidates) > k:
-        gains = np.fromiter((gain for _, gain in candidates), np.float64, len(candidates))
+        gains = np.fromiter((c[2] for c in candidates), np.float64, len(candidates))
         cutoff = np.partition(gains, len(gains) - k)[len(gains) - k]
         candidates = [candidates[i] for i in np.flatnonzero(gains >= cutoff).tolist()]
-    ranked = sorted(candidates, key=lambda c: (-c[1], c[0].feature, c[0].threshold))
+    ranked = sorted(candidates, key=lambda c: (-c[2], c[0], c[1]))
     return ranked[:k]
 
 
@@ -293,13 +281,13 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
         if not candidates:
             return TreeNode(counts)
         best = top_k_splits(candidates, top_k)
-        rule, _ = best[rng.integers(len(best))]
+        feature, threshold, _ = best[rng.integers(len(best))]
         del candidates  # an ancestor's list is not needed while its subtrees grow
-        goes_left = node_data.features[:, rule.feature] <= rule.threshold
+        goes_left = node_data.features[:, feature] <= threshold
         return TreeNode(
             counts,
-            feature=rule.feature,
-            threshold=rule.threshold,
+            feature=feature,
+            threshold=threshold,
             left=build(indices[goes_left]),
             right=build(indices[~goes_left]),
         )

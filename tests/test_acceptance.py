@@ -254,12 +254,12 @@ class TestCriterion8SplitOracleEquivalence:
             got = enumerate_splits(data, min_leaf)
             expected = _oracle_splits(data, min_leaf)
             # candidate enumeration must match the oracle exactly
-            if [(r.feature, r.threshold) for r, _ in got] != [key for key, _, _ in expected]:
+            if [(feature, threshold) for feature, threshold, _ in got] != [key for key, _, _ in expected]:
                 mismatches += 1
                 continue
             if any(
                 abs(gain - oracle_gain) > 1e-12
-                for (_, gain), (_, oracle_gain, _) in zip(got, expected)
+                for (_, _, gain), (_, oracle_gain, _) in zip(got, expected)
             ):
                 mismatches += 1
                 continue
@@ -268,7 +268,7 @@ class TestCriterion8SplitOracleEquivalence:
             k = 20
             top = top_k_splits(got, k)
             classes, class_of_key = _oracle_tie_classes(expected)
-            chosen_classes = [class_of_key[(r.feature, r.threshold)] for r, _ in top]
+            chosen_classes = [class_of_key[(feature, threshold)] for feature, threshold, _ in top]
             if chosen_classes != sorted(chosen_classes):
                 mismatches += 1
                 continue

@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 from treeuq import (
     Dataset,
     DatasetError,
-    FoldSplit,
     GaussianMixtureSpec,
     MixtureComponent,
     bayes_posterior,
@@ -72,6 +71,19 @@ class TestLoadCsv:
         path = _write(tmp_path / "one.csv", "x,y\n1.0,a\n2.0,a\n")
         with pytest.raises(DatasetError, match="one class"):
             load_csv(path, "y")
+
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        path = _write(tmp_path / "bom.csv", "\ufeffclass,x1,x2\na,1,2\nb,3,4\n")
+        data = load_csv(path, "class")
+        assert data.feature_names == ("x1", "x2")
+        assert data.labels.tolist() == [0, 1]
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        # UCI files such as iris.data end with a blank line
+        path = _write(tmp_path / "blank.csv", "x,class\n1.0,a\n\n2.0,b\n\n")
+        data = load_csv(path, "class")
+        assert data.features.tolist() == [[1.0], [2.0]]
+        assert data.labels.tolist() == [0, 1]
 
     def test_label_column_named_like_a_number(self, tmp_path):
         # a name, not an index: "3" is the header of column 0
@@ -297,24 +309,24 @@ class TestEstimateBayesError:
 
 class TestKfoldSplit:
     def test_250_into_5_folds_of_50(self):
-        split = kfold_split(250, 5, 9)
-        assert np.bincount(split.fold_assignments).tolist() == [50] * 5
+        folds = kfold_split(250, 5, 9)
+        assert folds.dtype == np.int64 and folds.shape == (250,)
+        assert np.bincount(folds).tolist() == [50] * 5
 
     def test_remainder_distribution(self):
-        split = kfold_split(7, 3, 9)
-        assert sorted(np.bincount(split.fold_assignments).tolist(), reverse=True) == [3, 2, 2]
+        folds = kfold_split(7, 3, 9)
+        assert sorted(np.bincount(folds).tolist(), reverse=True) == [3, 2, 2]
 
     def test_same_seed_identical(self):
-        a = kfold_split(100, 5, 13)
-        b = kfold_split(100, 5, 13)
-        assert np.array_equal(a.fold_assignments, b.fold_assignments)
+        assert np.array_equal(kfold_split(100, 5, 13), kfold_split(100, 5, 13))
 
     def test_partition_property(self):
-        split = kfold_split(101, 7, 3)
-        seen = np.concatenate([split.test_indices(f) for f in range(7)])
+        folds = kfold_split(101, 7, 3)
+        assert folds.min() == 0 and folds.max() == 6
+        seen = np.concatenate([np.flatnonzero(folds == f) for f in range(7)])
         assert sorted(seen.tolist()) == list(range(101))
         for f in range(7):
-            train, test = set(split.train_indices(f)), set(split.test_indices(f))
+            train, test = set(np.flatnonzero(folds != f)), set(np.flatnonzero(folds == f))
             assert not train & test
             assert train | test == set(range(101))
 
@@ -351,6 +363,14 @@ class TestDatasetValidation:
         with pytest.raises(DatasetError):
             data.subset(np.array([], dtype=np.intp))
 
+    def test_whole_float_and_bool_labels_become_int64(self):
+        rows = [[0.0], [1.0], [2.0]]
+        for labels, expected in (([1.0, 0.0, -0.0], [1, 0, 0]), ([True, False, True], [1, 0, 1])):
+            data = Dataset(rows, labels, 2, ("x",))
+            assert data.labels.dtype == np.int64 and data.labels.tolist() == expected
+        labels = np.array([0, 1, 1])
+        assert Dataset(rows, labels, 2, ("x",)).labels is labels
+
     def test_equality_and_hash_by_identity(self):
         rows = [[0.0, 1.0], [1.0, 0.5], [2.0, 0.0]]
         a = Dataset(rows, [0, 1, 0], 2, ("x", "y"))
@@ -378,6 +398,16 @@ def _load(text, label_column="class"):
         ),
         (lambda _: Dataset([[0.0]], [0], 1, ("x",)), DatasetError, "need at least 2 classes, got 1"),
         (
+            lambda _: Dataset([[0.0], [1.0], [2.0]], [0.5, 1.7, 0.0], 2, ("x",)),
+            DatasetError,
+            "label 0 is 0.5, not a whole number",
+        ),
+        (
+            lambda _: Dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, np.nan], 2, ("x",)),
+            DatasetError,
+            "label 2 is nan, not a whole number",
+        ),
+        (
             lambda _: Dataset([[0.0]], [0], 2, ("x", "y")),
             DatasetError,
             "feature_names must name every feature column",
@@ -394,14 +424,15 @@ def _load(text, label_column="class"):
             ValueError,
             "non-negative",
         ),
-        (lambda _: FoldSplit([0, 0, 0, 1], 2), ValueError, "fold sizes must differ by at most 1"),
-        (lambda _: FoldSplit([0, 1, 2], 2), ValueError, "fold sizes must differ by at most 1"),
         (_load(""), DatasetError, "file is empty"),
         # a whole number names a column; it is not read as an index
         (_load("x,class\n1.0,a\n", "0"), DatasetError, "no column named '0'"),
         (_load("class\na\nb\n"), DatasetError, "no feature columns besides the label"),
         (_load("x,class\n"), DatasetError, "no data rows"),
+        (_load("x,class\n\n\n"), DatasetError, "no data rows"),
         (_load("x,class\n1.0,a\n2.0, \n"), DatasetError, "row 2, column 'class': empty label"),
+        # a blank line is skipped but still counted in the row numbers
+        (_load("x,class\n1.0,a\n\n2.0, \n"), DatasetError, "row 3, column 'class': empty label"),
         (
             lambda _: estimate_bayes_error(make_benchmark_mixture(), 0, 1),
             ValueError,
@@ -411,18 +442,20 @@ def _load(text, label_column="class"):
     ids=[
         "labels-shape",
         "one-class",
+        "fractional-label",
+        "nan-label",
         "feature-names",
         "no-components",
         "weight-outside-0-1",
         "scale-not-positive",
         "negative-class",
-        "fold-sizes-uneven",
-        "fold-index-beyond-k",
         "csv-empty-file",
         "csv-label-index",
         "csv-no-feature-column",
         "csv-no-data-row",
+        "csv-only-blank-rows",
         "csv-empty-label",
+        "csv-empty-label-after-blank-line",
         "bayes-error-n-0",
     ],
 )

@@ -8,7 +8,6 @@ import pytest
 from treeuq import (
     Dataset,
     DecisionTree,
-    SplitRule,
     TreeNode,
     ensemble_posterior_matrix,
     enumerate_splits,
@@ -111,12 +110,12 @@ def loop_splits(data: Dataset, min_leaf: int):
         right = parent[None, :] - left
         gains = _gain_bits(np.broadcast_to(parent, left.shape), left, right)
         thresholds = (sorted_values[cuts] + sorted_values[cuts + 1]) / 2.0
-        candidates.extend((SplitRule(j, float(t)), float(g)) for t, g in zip(thresholds, gains))
+        candidates.extend((j, float(t), float(g)) for t, g in zip(thresholds, gains))
     return candidates
 
 
 def full_sort_top_k(candidates, k):
-    return sorted(candidates, key=lambda c: (-c[1], c[0].feature, c[0].threshold))[:k]
+    return sorted(candidates, key=lambda c: (-c[2], c[0], c[1]))[:k]
 
 
 def random_dataset(rng, n, m=2, num_classes=2, grid=None):
@@ -166,7 +165,7 @@ class TestEnumerateSplits:
     def test_midpoints_of_distinct_values(self):
         data = Dataset([[1.0], [2.0], [3.0]], [0, 0, 1], 2, ("x",))
         cands = enumerate_splits(data, min_leaf=1)
-        assert [(rule.feature, rule.threshold) for rule, _ in cands] == [(0, 1.5), (0, 2.5)]
+        assert [(feature, threshold) for feature, threshold, _ in cands] == [(0, 1.5), (0, 2.5)]
 
     def test_constant_feature_yields_no_candidates(self):
         data = Dataset([[1.0], [1.0], [1.0]], [0, 0, 1], 2, ("x",))
@@ -174,7 +173,7 @@ class TestEnumerateSplits:
 
     def test_min_leaf_exclusion(self):
         data = Dataset([[float(i)] for i in range(6)], [0, 0, 0, 1, 1, 1], 2, ("x",))
-        thresholds = [r.threshold for r, _ in enumerate_splits(data, min_leaf=2)]
+        thresholds = [threshold for _, threshold, _ in enumerate_splits(data, min_leaf=2)]
         assert thresholds == [1.5, 2.5, 3.5]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -183,8 +182,8 @@ class TestEnumerateSplits:
         data = random_dataset(rng, 12, m=2, grid=6)
         got = enumerate_splits(data, min_leaf=1)
         expected = oracle_splits(data, min_leaf=1)
-        assert [(r.feature, r.threshold) for r, _ in got] == [key for key, _ in expected]
-        for (_, gain), (_, oracle) in zip(got, expected):
+        assert [(feature, threshold) for feature, threshold, _ in got] == [key for key, _ in expected]
+        for (_, _, gain), (_, oracle) in zip(got, expected):
             assert gain == pytest.approx(oracle, abs=1e-12)
 
 
@@ -206,11 +205,10 @@ class TestEnumerateSplits:
             got = enumerate_splits(data, min_leaf)
             expected = loop_splits(data, min_leaf)
             assert got == expected
-            assert [gain for _, gain in got] == [gain for _, gain in expected]
-            for rule, gain in got:
-                assert type(rule) is SplitRule
-                assert type(rule.feature) is int and type(rule.threshold) is float
-                assert type(gain) is float
+            assert [gain for _, _, gain in got] == [gain for _, _, gain in expected]
+            for candidate in got:
+                assert type(candidate) is tuple
+                assert [type(value) for value in candidate] == [int, float, float]
 
     def test_bit_identical_on_the_wide_mixture(self):
         data = sample_mixture(make_benchmark_mixture(), 200, 9)
@@ -226,52 +224,35 @@ class TestEnumerateSplits:
     def test_each_gain_is_information_gain_bit_for_bit(self, num_classes):
         rng = np.random.default_rng(num_classes)
         data = random_dataset(rng, 150, m=4, num_classes=num_classes, grid=9)
-        for rule, gain in enumerate_splits(data, min_leaf=2):
-            goes_left = data.features[:, rule.feature] <= rule.threshold
+        for feature, threshold, gain in enumerate_splits(data, min_leaf=2):
+            goes_left = data.features[:, feature] <= threshold
             left = np.bincount(data.labels[goes_left], minlength=num_classes)
             right = np.bincount(data.labels[~goes_left], minlength=num_classes)
             assert gain == information_gain(left + right, left, right)
 
 
-class TestSplitRule:
-    def test_immutable_hashable_and_ordered(self):
-        rule = SplitRule(1, 0.5)
-        assert (rule.feature, rule.threshold) == (1, 0.5)
-        with pytest.raises(AttributeError):
-            rule.feature = 2
-        assert not hasattr(rule, "__dict__")
-        assert len({rule, SplitRule(1, 0.5), SplitRule(0, 0.5)}) == 2
-        assert SplitRule(0, 2.0) < SplitRule(1, 0.5) < SplitRule(1, 1.5)
-
-
 class TestTopKSplits:
     def test_top_two_by_gain(self):
-        from treeuq import SplitRule
-
-        cands = [(SplitRule(0, 0.5), 0.9), (SplitRule(0, 1.5), 0.5), (SplitRule(0, 2.5), 0.7)]
+        cands = [(0, 0.5, 0.9), (0, 1.5, 0.5), (0, 2.5, 0.7)]
         top = top_k_splits(cands, 2)
-        assert [g for _, g in top] == [0.9, 0.7]
+        assert [g for _, _, g in top] == [0.9, 0.7]
 
     def test_fewer_candidates_than_k(self):
-        from treeuq import SplitRule
-
-        cands = [(SplitRule(0, float(i)), 0.1 * i) for i in range(5)]
+        cands = [(0, float(i), 0.1 * i) for i in range(5)]
         assert len(top_k_splits(cands, 20)) == 5
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(8)
-        from treeuq import SplitRule
-
         cands = [
-            (SplitRule(int(rng.integers(3)), float(rng.integers(10))), float(rng.choice([0.1, 0.2, 0.3])))
+            (int(rng.integers(3)), float(rng.integers(10)), float(rng.choice([0.1, 0.2, 0.3])))
             for _ in range(100)
         ]
         got = top_k_splits(cands, 20)
-        expected = sorted(cands, key=lambda c: (-c[1], c[0].feature, c[0].threshold))[:20]
+        expected = sorted(cands, key=lambda c: (-c[2], c[0], c[1]))[:20]
         assert got == expected
 
     def test_all_equal_gains(self):
-        cands = [(SplitRule(f, float(t)), 0.25) for f in (2, 0, 1) for t in (3, 1, 2)]
+        cands = [(f, float(t), 0.25) for f in (2, 0, 1) for t in (3, 1, 2)]
         for k in (1, 4, 9, 10):
             assert top_k_splits(cands, k) == full_sort_top_k(cands, k)
 
@@ -280,7 +261,7 @@ class TestTopKSplits:
         for trial in range(40):
             size = int(rng.integers(2, 60))
             cands = [
-                (SplitRule(int(rng.integers(4)), float(rng.integers(6))),
+                (int(rng.integers(4)), float(rng.integers(6)),
                  float(rng.choice([0.1, 0.2, 0.2 + 1e-17, 0.3, 1 / 3])))
                 for _ in range(size)
             ]
@@ -292,7 +273,7 @@ class TestTopKSplits:
                 assert all(a is b for a, b in zip(got, expected))
 
     def test_fewer_candidates_than_k_keeps_all_sorted(self):
-        cands = [(SplitRule(1, 0.5), 0.2), (SplitRule(0, 1.5), 0.2), (SplitRule(0, 0.5), 0.7)]
+        cands = [(1, 0.5, 0.2), (0, 1.5, 0.2), (0, 0.5, 0.7)]
         assert top_k_splits(cands, 20) == full_sort_top_k(cands, 20)
         assert top_k_splits(cands[:1], 1) == cands[:1]
         assert top_k_splits([], 5) == []
