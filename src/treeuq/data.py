@@ -88,14 +88,27 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices: np.ndarray) -> Dataset:
-        """Dataset restricted to the given row indices (copies)."""
+        """Dataset restricted to the given row indices (copies).
+
+        The rows passed every check when this Dataset was built, so only the
+        selection is checked: indices that are not 1-D, or that select no
+        row, raise DatasetError, and an index out of range raises IndexError.
+        """
         indices = np.asarray(indices)
-        return Dataset(
-            features=self.features[indices],
+        if indices.ndim != 1:
+            raise DatasetError(f"subset indices must be 1-D, got shape {indices.shape}")
+        features = self.features[indices]
+        if features.shape[0] < 1:
+            raise DatasetError("subset selects no rows")
+        subset = object.__new__(Dataset)
+        # frozen blocks attribute assignment, not the instance dict
+        vars(subset).update(
+            features=features,
             labels=self.labels[indices],
             num_classes=self.num_classes,
             feature_names=self.feature_names,
         )
+        return subset
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)

@@ -130,9 +130,16 @@ def _gain_bits(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nd
     return _entropy_bits(parent) - (n_left * _entropy_bits(left) + n_right * _entropy_bits(right)) / n
 
 
-def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[int, float, float]]:
-    """All candidate splits of a node's data as (feature, threshold, gain) triples.
+# One row per split candidate; enumerate_splits returns it, top_k_splits ranks it.
+_SPLIT_DTYPE = np.dtype([("feature", np.int64), ("threshold", np.float64), ("gain", np.float64)])
 
+
+def enumerate_splits(data: Dataset, min_leaf: int) -> np.ndarray:
+    """All candidate splits of a node's data, one structured record each.
+
+    The records have the fields ``feature`` (int64), ``threshold`` and
+    ``gain`` (float64); ``.tolist()`` gives the same candidates as
+    ``(feature, threshold, gain)`` tuples of Python int, float and float.
     One candidate per (feature, midpoint between consecutive distinct sorted
     values); a candidate sends ``x[feature] <= threshold`` left, and its gain
     is the information gain in bits. Candidates leaving fewer than min_leaf
@@ -143,8 +150,6 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[int, float, flo
     the gains of all candidates come from one ``_gain_bits`` call.
     """
     n = data.n
-    if n < 2:
-        return []
     onehot = np.zeros((n, data.num_classes), dtype=np.int64)
     onehot[np.arange(n), data.labels] = 1
     parent = onehot.sum(axis=0)
@@ -156,37 +161,41 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> list[tuple[int, float, flo
     valid = sorted_values[:-1] != sorted_values[1:]
     valid &= ((left_sizes >= min_leaf) & (n - left_sizes >= min_leaf))[:, None]
     columns, cuts = np.nonzero(valid.T)
-    if cuts.size == 0:
-        return []
     left = np.cumsum(onehot[order], axis=0)[cuts, columns]
     right = parent[None, :] - left
+    candidates = np.empty(cuts.size, _SPLIT_DTYPE)
+    candidates["feature"] = columns
+    candidates["threshold"] = (sorted_values[cuts, columns] + sorted_values[cuts + 1, columns]) / 2.0
     # one parent row, so its entropy is computed once and is the same for
     # every candidate
-    gains = _gain_bits(parent[None, :], left, right)
-    thresholds = (sorted_values[cuts, columns] + sorted_values[cuts + 1, columns]) / 2.0
-    return list(zip(columns.tolist(), thresholds.tolist(), gains.tolist()))
+    candidates["gain"] = _gain_bits(parent[None, :], left, right)
+    return candidates
 
 
-def top_k_splits(
-    candidates: list[tuple[int, float, float]], k: int
-) -> list[tuple[int, float, float]]:
-    """The k highest-gain (feature, threshold, gain) triples, best first.
+def top_k_splits(candidates: np.ndarray, k: int) -> np.ndarray:
+    """The k highest-gain records of an ``enumerate_splits`` array, best first.
 
-    Ties go to lower feature, then lower threshold; equal triples keep their
-    input order.
+    Ties go to lower feature, then lower threshold; equal records keep their
+    input order, as ``sorted`` with the key (-gain, feature, threshold) would
+    keep them on the ``.tolist()`` tuples. A gain that is not finite raises
+    ValueError before any ranking.
 
     Only the candidates whose gain reaches the k-th largest gain can rank in
     the top k, so only those are sorted; keeping every tie at that cut-off
-    gives the same result as sorting the whole list.
+    gives the same result as sorting the whole array.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    gains = candidates["gain"]
+    finite = np.isfinite(gains)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"candidate {bad} has gain {gains[bad]}, which is not finite")
     if len(candidates) > k:
-        gains = np.fromiter((c[2] for c in candidates), np.float64, len(candidates))
         cutoff = np.partition(gains, len(gains) - k)[len(gains) - k]
-        candidates = [candidates[i] for i in np.flatnonzero(gains >= cutoff).tolist()]
-    ranked = sorted(candidates, key=lambda c: (-c[2], c[0], c[1]))
-    return ranked[:k]
+        candidates = candidates[gains >= cutoff]
+    ranked = np.lexsort((candidates["threshold"], candidates["feature"], -candidates["gain"]))
+    return candidates[ranked[:k]]
 
 
 def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float = 1.0) -> np.ndarray:
@@ -263,8 +272,11 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     """Grow a tree choosing each split uniformly among the top-k candidates.
 
     Recursion stops at pure nodes, nodes with fewer than 2*min_leaf points,
-    or nodes with no valid candidate. Deterministic given seed; with top_k=1
-    this is greedy CART.
+    or nodes with no valid candidate. Each node searched calls
+    ``enumerate_splits`` once and, if it has a candidate, ``top_k_splits``
+    once; the drawn record is read with ``.item()``, so every split keeps a
+    Python int feature and a Python float threshold. Deterministic given
+    seed; with top_k=1 this is greedy CART.
     """
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
@@ -278,11 +290,11 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
         if np.count_nonzero(counts) <= 1 or node_data.n < 2 * min_leaf:
             return TreeNode(counts)
         candidates = enumerate_splits(node_data, min_leaf)
-        if not candidates:
+        if candidates.size == 0:
             return TreeNode(counts)
         best = top_k_splits(candidates, top_k)
-        feature, threshold, _ = best[rng.integers(len(best))]
-        del candidates  # an ancestor's list is not needed while its subtrees grow
+        feature, threshold, _ = best[rng.integers(len(best))].item()
+        del candidates  # an ancestor's array is not needed while its subtrees grow
         goes_left = node_data.features[:, feature] <= threshold
         return TreeNode(
             counts,

@@ -353,6 +353,23 @@ class TestDatasetValidation:
         sub = data.subset(np.arange(5))
         assert sub.n == 5
         assert np.array_equal(sub.features, data.features[:5])
+        rows = np.array([7, 2, 2, 19])
+        sub = data.subset(rows)
+        assert sub.features.dtype == np.float64 and np.array_equal(sub.features, data.features[rows])
+        assert sub.labels.dtype == np.int64 and np.array_equal(sub.labels, data.labels[rows])
+        assert (sub.num_classes, sub.feature_names) == (data.num_classes, data.feature_names)
+        assert sub.rank_table[1].shape == (2, 4)
+
+    def test_subset_checks_the_selection(self):
+        data = sample_mixture(make_benchmark_mixture(), 20, 1)
+        for rows in (np.zeros((2, 2), dtype=np.intp), np.intp(3)):
+            with pytest.raises(DatasetError, match="indices must be 1-D"):
+                data.subset(rows)
+        with pytest.raises(DatasetError, match="selects no rows"):
+            data.subset(np.zeros(20, dtype=bool))
+        for rows in ([20], [-21], [0, 25]):
+            with pytest.raises(IndexError):
+                data.subset(np.array(rows))
 
     def test_empty_dataset_rejected(self):
         # the only guard against zero rows: the sampler, the tree grower and

@@ -118,6 +118,37 @@ def full_sort_top_k(candidates, k):
     return sorted(candidates, key=lambda c: (-c[2], c[0], c[1]))[:k]
 
 
+def as_candidates(triples):
+    """(feature, threshold, gain) triples as an ``enumerate_splits`` array."""
+    return np.array(triples, dtype=tree_module._SPLIT_DTYPE)
+
+
+def reference_grow(data: Dataset, min_leaf: int, top_k: int, seed) -> DecisionTree:
+    """``grow_randomized`` on the list helpers: ``loop_splits`` + ``full_sort_top_k``.
+
+    Each node is a fresh, fully checked Dataset, and the rng is drawn in the
+    same order, so the trees must match ``grow_randomized`` exactly.
+    """
+    rng = np.random.default_rng(seed)
+
+    def build(indices):
+        node_data = Dataset(data.features[indices], data.labels[indices], data.num_classes,
+                            data.feature_names)
+        counts = node_data.class_counts()
+        if np.count_nonzero(counts) <= 1 or node_data.n < 2 * min_leaf:
+            return TreeNode(counts)
+        candidates = loop_splits(node_data, min_leaf)
+        if not candidates:
+            return TreeNode(counts)
+        best = full_sort_top_k(candidates, top_k)
+        feature, threshold, _ = best[rng.integers(len(best))]
+        goes_left = node_data.features[:, feature] <= threshold
+        return TreeNode(counts, feature=feature, threshold=threshold,
+                        left=build(indices[goes_left]), right=build(indices[~goes_left]))
+
+    return DecisionTree(build(np.arange(data.n)))
+
+
 def random_dataset(rng, n, m=2, num_classes=2, grid=None):
     if grid is None:
         features = rng.standard_normal((n, m))
@@ -165,22 +196,26 @@ class TestEnumerateSplits:
     def test_midpoints_of_distinct_values(self):
         data = Dataset([[1.0], [2.0], [3.0]], [0, 0, 1], 2, ("x",))
         cands = enumerate_splits(data, min_leaf=1)
-        assert [(feature, threshold) for feature, threshold, _ in cands] == [(0, 1.5), (0, 2.5)]
+        assert cands.dtype == tree_module._SPLIT_DTYPE
+        assert [(feature, threshold) for feature, threshold, _ in cands.tolist()] == [(0, 1.5), (0, 2.5)]
 
     def test_constant_feature_yields_no_candidates(self):
         data = Dataset([[1.0], [1.0], [1.0]], [0, 0, 1], 2, ("x",))
-        assert enumerate_splits(data, min_leaf=1) == []
+        cands = enumerate_splits(data, min_leaf=1)
+        assert cands.dtype == tree_module._SPLIT_DTYPE and cands.tolist() == []
+        # below two rows there is nothing to cut
+        assert enumerate_splits(data.subset([0]), min_leaf=1).dtype == tree_module._SPLIT_DTYPE
 
     def test_min_leaf_exclusion(self):
         data = Dataset([[float(i)] for i in range(6)], [0, 0, 0, 1, 1, 1], 2, ("x",))
-        thresholds = [threshold for _, threshold, _ in enumerate_splits(data, min_leaf=2)]
+        thresholds = [threshold for _, threshold, _ in enumerate_splits(data, min_leaf=2).tolist()]
         assert thresholds == [1.5, 2.5, 3.5]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
         data = random_dataset(rng, 12, m=2, grid=6)
-        got = enumerate_splits(data, min_leaf=1)
+        got = enumerate_splits(data, min_leaf=1).tolist()
         expected = oracle_splits(data, min_leaf=1)
         assert [(feature, threshold) for feature, threshold, _ in got] == [key for key, _ in expected]
         for (_, _, gain), (_, oracle) in zip(got, expected):
@@ -203,6 +238,8 @@ class TestEnumerateSplits:
         data = Dataset(features, data.labels, num_classes, data.feature_names)
         for min_leaf in range(1, 6):
             got = enumerate_splits(data, min_leaf)
+            assert got.dtype == tree_module._SPLIT_DTYPE
+            got = got.tolist()
             expected = loop_splits(data, min_leaf)
             assert got == expected
             assert [gain for _, _, gain in got] == [gain for _, _, gain in expected]
@@ -217,14 +254,16 @@ class TestEnumerateSplits:
             data.labels, 2, ("a", "b", "c", "d"),
         )
         for min_leaf in (1, 5):
-            assert enumerate_splits(wide, min_leaf) == loop_splits(wide, min_leaf)
+            got = enumerate_splits(wide, min_leaf)
+            assert got.dtype == tree_module._SPLIT_DTYPE
+            assert got.tolist() == loop_splits(wide, min_leaf)
 
 
     @pytest.mark.parametrize("num_classes", [2, 3, 8, 9, 12])
     def test_each_gain_is_information_gain_bit_for_bit(self, num_classes):
         rng = np.random.default_rng(num_classes)
         data = random_dataset(rng, 150, m=4, num_classes=num_classes, grid=9)
-        for feature, threshold, gain in enumerate_splits(data, min_leaf=2):
+        for feature, threshold, gain in enumerate_splits(data, min_leaf=2).tolist():
             goes_left = data.features[:, feature] <= threshold
             left = np.bincount(data.labels[goes_left], minlength=num_classes)
             right = np.bincount(data.labels[~goes_left], minlength=num_classes)
@@ -233,12 +272,13 @@ class TestEnumerateSplits:
 
 class TestTopKSplits:
     def test_top_two_by_gain(self):
-        cands = [(0, 0.5, 0.9), (0, 1.5, 0.5), (0, 2.5, 0.7)]
+        cands = as_candidates([(0, 0.5, 0.9), (0, 1.5, 0.5), (0, 2.5, 0.7)])
         top = top_k_splits(cands, 2)
-        assert [g for _, _, g in top] == [0.9, 0.7]
+        assert top.dtype == tree_module._SPLIT_DTYPE
+        assert [g for _, _, g in top.tolist()] == [0.9, 0.7]
 
     def test_fewer_candidates_than_k(self):
-        cands = [(0, float(i), 0.1 * i) for i in range(5)]
+        cands = as_candidates([(0, float(i), 0.1 * i) for i in range(5)])
         assert len(top_k_splits(cands, 20)) == 5
 
     def test_matches_full_sort_oracle(self):
@@ -247,14 +287,17 @@ class TestTopKSplits:
             (int(rng.integers(3)), float(rng.integers(10)), float(rng.choice([0.1, 0.2, 0.3])))
             for _ in range(100)
         ]
-        got = top_k_splits(cands, 20)
+        got = top_k_splits(as_candidates(cands), 20)
         expected = sorted(cands, key=lambda c: (-c[2], c[0], c[1]))[:20]
-        assert got == expected
+        assert got.dtype == tree_module._SPLIT_DTYPE
+        assert got.tolist() == expected
+        for candidate in got.tolist():
+            assert [type(value) for value in candidate] == [int, float, float]
 
     def test_all_equal_gains(self):
         cands = [(f, float(t), 0.25) for f in (2, 0, 1) for t in (3, 1, 2)]
         for k in (1, 4, 9, 10):
-            assert top_k_splits(cands, k) == full_sort_top_k(cands, k)
+            assert top_k_splits(as_candidates(cands), k).tolist() == full_sort_top_k(cands, k)
 
     def test_tie_group_straddling_the_cut_off(self):
         rng = np.random.default_rng(3)
@@ -266,21 +309,28 @@ class TestTopKSplits:
                 for _ in range(size)
             ]
             for k in range(1, size + 2):
-                got = top_k_splits(cands, k)
-                expected = full_sort_top_k(cands, k)
-                assert got == expected
-                # equal keys come back as the same objects, in input order
-                assert all(a is b for a, b in zip(got, expected))
+                got = top_k_splits(as_candidates(cands), k)
+                assert got.dtype == tree_module._SPLIT_DTYPE
+                assert got.tolist() == full_sort_top_k(cands, k)
 
     def test_fewer_candidates_than_k_keeps_all_sorted(self):
         cands = [(1, 0.5, 0.2), (0, 1.5, 0.2), (0, 0.5, 0.7)]
-        assert top_k_splits(cands, 20) == full_sort_top_k(cands, 20)
-        assert top_k_splits(cands[:1], 1) == cands[:1]
-        assert top_k_splits([], 5) == []
+        assert top_k_splits(as_candidates(cands), 20).tolist() == full_sort_top_k(cands, 20)
+        assert top_k_splits(as_candidates(cands[:1]), 1).tolist() == cands[:1]
+        empty = top_k_splits(as_candidates([]), 5)
+        assert empty.dtype == tree_module._SPLIT_DTYPE and empty.tolist() == []
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError):
-            top_k_splits([], 0)
+            top_k_splits(as_candidates([]), 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected_for_every_k(self, bad):
+        # a NaN used to drop out at the partition cut-off or rank first
+        cands = as_candidates([(0, 0.5, 0.3), (0, 1.5, bad), (1, 0.5, 0.2), (1, 1.5, bad)])
+        for k in (1, 2, 3, 4, 20):
+            with pytest.raises(ValueError, match=f"candidate 1 has gain {bad}, which is not finite"):
+                top_k_splits(cands, k)
 
 
 def point_posterior(tree, x):
@@ -398,6 +448,48 @@ class TestGrowRandomized:
         b = grow_randomized(data, min_leaf=5, top_k=1, seed=999)
         assert serialize_tree(a) == serialize_tree(b)
 
+
+    @pytest.mark.parametrize("columns", [2, 12, 32])
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_matches_the_list_reference_grower(self, columns, rounded):
+        rng = np.random.default_rng(columns)
+        mixture = sample_mixture(make_benchmark_mixture(), 90, columns)
+        features = np.hstack([mixture.features, rng.standard_normal((90, columns - 2))])
+        if rounded:  # half-unit grid: tied values, thresholds and gains
+            features = np.round(features * 2.0) / 2.0
+        data = Dataset(features, mixture.labels, 2, tuple(f"f{i}" for i in range(columns)))
+        for min_leaf in (1, 5):
+            for top_k in (1, 3, 20, 10_000):
+                for seed in range(3):
+                    expected = serialize_tree(reference_grow(data, min_leaf, top_k, seed))
+                    assert serialize_tree(grow_randomized(data, min_leaf, top_k, seed)) == expected
+
+    @pytest.mark.parametrize("columns", [2, 32])
+    def test_one_search_call_of_each_per_searched_node(self, columns, monkeypatch):
+        # the benchmark's tracer counts nodes and candidates from exactly these
+        # calls, taking len() of each enumerate_splits result
+        results = {"enumerate_splits": [], "top_k_splits": []}
+        for name, calls in results.items():
+            def counted(*args, _original=getattr(tree_module, name), _calls=calls, **kwargs):
+                _calls.append(_original(*args, **kwargs))
+                return _calls[-1]
+
+            monkeypatch.setattr(tree_module, name, counted)
+        rng = np.random.default_rng(columns)
+        mixture = sample_mixture(make_benchmark_mixture(), 120, columns)
+        # whole-unit values on 2 columns leave impure nodes with no valid cut
+        features = np.round(np.hstack([mixture.features, rng.standard_normal((120, columns - 2))]))
+        data = Dataset(features, mixture.labels, 2, tuple(f"f{i}" for i in range(columns)))
+        min_leaf = 2
+        leaves, internals, _ = walk(grow_randomized(data, min_leaf, seed=4).root)
+        uncut = [leaf for leaf in leaves
+                 if np.count_nonzero(leaf.counts) > 1 and leaf.counts.sum() >= 2 * min_leaf]
+        assert columns == 32 or uncut
+        assert len(results["enumerate_splits"]) == len(internals) + len(uncut)
+        assert len(results["top_k_splits"]) == len(internals)
+        for calls in results.values():
+            assert all(result.dtype == tree_module._SPLIT_DTYPE for result in calls)
+            assert sum(map(len, calls)) == sum(len(result.tolist()) for result in calls)
 
     def test_top_k_below_one_rejected_at_entry(self):
         # pure data never reaches the split search, two-class data would
