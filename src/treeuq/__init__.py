@@ -25,6 +25,7 @@ from .ensemble import (
     best_single_tree,
     ensemble_mean_size,
     ensemble_posterior_matrix,
+    leaf_posterior_matrix,
     train_ensemble,
 )
 from .envelope import (
@@ -63,7 +64,6 @@ from .tree import (
     TreeNode,
     enumerate_splits,
     grow_randomized,
-    leaf_posterior_matrix,
     parse_tree,
     serialize_tree,
     top_k_splits,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
 
@@ -49,8 +50,16 @@ def run(config_path, preset, seed, fmt, out_path, trace_path, print_config) -> N
         if print_config:
             click.echo(render_config(config), nl=False)
             return
-        report = run_experiment(config, mcmc_trace_path=trace_path)
-        text = emit_report(report, format=fmt)
+        created = False
+        if out_path:  # a path that cannot be written fails before the run; "a" truncates nothing
+            created = not os.path.exists(out_path)
+            open(out_path, "a", encoding="utf-8").close()
+        try:
+            text = emit_report(run_experiment(config, mcmc_trace_path=trace_path), format=fmt)
+        except BaseException:
+            if created:
+                os.remove(out_path)
+            raise
         if out_path:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)

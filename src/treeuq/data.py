@@ -353,11 +353,8 @@ def kfold_split(n: int, k: int, seed) -> np.ndarray:
         raise ValueError(f"cannot split {n} points into {k} folds")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    assignments = np.empty(n, dtype=np.int64)
     sizes = np.full(k, n // k)
     sizes[: n % k] += 1
-    start = 0
-    for fold, size in enumerate(sizes):
-        assignments[perm[start : start + size]] = fold
-        start += size
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[perm] = np.repeat(np.arange(k), sizes)
     return assignments

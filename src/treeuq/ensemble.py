@@ -7,9 +7,13 @@ class boundaries. The ensemble posterior either averages per-tree posteriors
 or counts per-tree argmax votes; the vote form is what the uncertainty
 envelope consumes. The Bayesian sampler's retained trees go through the same
 scorer and the same size summary, so both techniques are judged by one
-function each. The scorer keeps one row order for all the trees of a call,
-in which every node's rows form one slice. A sampler tree splits like its
-predecessor above its move, so the rows above the move are not re-routed.
+function each. A tree routes a row left when ``x[feature] <= threshold``,
+and gives it the class probabilities of the leaf it reaches, smoothed by a
+symmetric Dirichlet count (alpha=1 is Laplace (+1) smoothing, so no class
+ever gets exactly zero probability). One tree alone is scored as an ensemble
+of one. The scorer keeps one row order for all the trees of a call, in which
+every node's rows form one slice. A sampler tree splits like its predecessor
+above its move, so the rows above the move are not re-routed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .tree import DecisionTree, _feature_matrix, _route, _router, grow_randomized, leaf_posterior_matrix, tree_size
+from .tree import DecisionTree, TreeNode, _check_rule, grow_randomized, tree_size
 
 __all__ = [
     "EnsembleConfig",
@@ -28,6 +32,7 @@ __all__ = [
     "default_min_leaf",
     "ensemble_mean_size",
     "ensemble_posterior_matrix",
+    "leaf_posterior_matrix",
     "train_ensemble",
 ]
 
@@ -96,7 +101,7 @@ def ensemble_posterior_matrix(
     that are not 2-D, or an alpha that is not finite and > 0, raise
     ValueError.
 
-    All distinct trees share one router: where a tree splits like the
+    All distinct trees share one row order: where a tree splits like the
     previous one, at a position and above it, the rows are not re-routed,
     and a subtree shared by reference is left out with its rows. After a
     sampler move, only the moved subtree's slices are partitioned again;
@@ -119,13 +124,13 @@ def ensemble_posterior_matrix(
 
     features = _feature_matrix(features)
     n = features.shape[0]
-    router = _router(features)
+    order, mids = np.arange(n), {}  # the row order and split points _route keeps
     out = np.zeros((n, num_classes))
     posterior = np.empty((n, num_classes))  # average: the previous tree's, per row
     label = np.zeros(n, dtype=np.intp)  # vote: the previous tree's argmax, per row
     since, total, previous = np.zeros(n), 0, None  # vote: total weight when label[row] was set
     for tree, weight in distinct.values():
-        routed = _route(tree.root, router, alpha, previous)
+        routed = _route(tree.root, features, order, mids, alpha, previous)
         previous = tree.root
         if mode == "average":
             for rows, leaf in routed:
@@ -144,6 +149,71 @@ def ensemble_posterior_matrix(
         out[np.arange(n), label] += total - since
     out /= len(trees)
     return out
+
+
+def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+    """Smoothed leaf posteriors of one tree for every row of a feature matrix, (n, C).
+
+    Each row gets the class probabilities (n_c + alpha) / (n + C * alpha) of
+    the leaf it reaches: the average-mode posterior of an ensemble of one
+    tree, bit for bit. Its input checks are that scorer's, with the same
+    ValueError messages.
+    """
+    return ensemble_posterior_matrix((tree,), features, "average", alpha)
+
+
+def _feature_matrix(features) -> np.ndarray:
+    """features as a float array; ValueError naming the shape unless it is 2-D."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D (rows, columns), got shape {features.shape}")
+    return features
+
+
+def _route(
+    root: TreeNode, features: np.ndarray, order: np.ndarray, mids: dict[int, int], alpha: float,
+    previous: TreeNode | None = None,
+):
+    """(rows, leaf posterior) for each leaf of root that rows of features reach.
+
+    ``order`` is a permutation of the rows in which every node's rows form
+    one slice, and ``mids`` says where each internal node's slice splits,
+    keyed by tree position (root 1, children 2p and 2p + 1); both are
+    updated in place. ``previous`` is the root routed last with them, if
+    any. The walk descends both trees by position. While a node and every
+    node above it split like the previous tree's, its rows are where that
+    tree left them: its stored mid is reused, and a node that is the
+    previous one itself is left out with its rows. Below the first changed
+    split, each slice of the row order is partitioned in place. The rows are
+    views into that order, valid until the next route. Every split not
+    shared by reference is checked, even without rows, so one on a column
+    that features lacks, or at a non-finite threshold, raises ValueError.
+    """
+    routed = []
+    stack = [(root, previous, 1, 0, order.size)]
+    while stack:
+        node, old, position, lo, hi = stack.pop()
+        if node is old:
+            continue
+        if node.left is None:
+            if hi > lo:
+                counts = node.counts.astype(np.float64)
+                routed.append((order[lo:hi], (counts + alpha) / (counts.sum() + alpha * counts.size)))
+            continue
+        _check_rule(node.feature, node.threshold, features.shape[1])
+        if old is not None and old.feature == node.feature and old.threshold == node.threshold:
+            mid = mids[position]
+        else:
+            old = None
+            rows = order[lo:hi]
+            goes_left = features[rows, node.feature] <= node.threshold
+            left, right = rows.compress(goes_left), rows.compress(~goes_left)
+            mid = lo + left.size
+            order[lo:mid], order[mid:hi] = left, right
+            mids[position] = mid
+        stack.append((node.right, old and old.right, 2 * position + 1, mid, hi))
+        stack.append((node.left, old and old.left, 2 * position, lo, mid))
+    return routed
 
 
 def best_single_tree(trees: Sequence[DecisionTree], validation: Dataset) -> tuple[int, float]:

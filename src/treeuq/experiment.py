@@ -29,11 +29,12 @@ from .ensemble import (
     best_single_tree,
     ensemble_mean_size,
     ensemble_posterior_matrix,
+    leaf_posterior_matrix,
     train_ensemble,
 )
 from .envelope import EnvelopeSummary, cross_fold_summary, envelope_rates, p_min
 from .mcmc import McmcConfig, bayes_predictive_matrix, run_with_restarts
-from .tree import DecisionTree, leaf_posterior_matrix
+from .tree import DecisionTree
 
 __all__ = [
     "BayesianResult",
@@ -300,12 +301,9 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
     )
 
 
-def _run_bayesian(
-    config: ExperimentConfig, train: Dataset, test: Dataset, trace_path=None
-) -> BayesianResult:
+def _run_bayesian(config: ExperimentConfig, train: Dataset, test: Dataset, trace) -> BayesianResult:
     seed = int(np.random.SeedSequence((config.seed, 4)).generate_state(1)[0])
-    with open(trace_path, "w", encoding="utf-8") if trace_path is not None else nullcontext() as trace:
-        ens = run_with_restarts(train, config.mcmc, seed, trace=trace)
+    ens = run_with_restarts(train, config.mcmc, seed, trace=trace)
     posteriors = bayes_predictive_matrix(
         ens, test.features, mode=config.envelope_mode, alpha=config.mcmc.dirichlet_alpha
     )
@@ -324,21 +322,25 @@ def run_experiment(config: ExperimentConfig, mcmc_trace_path=None) -> Experiment
     Every number in the report is determined by (config, config.seed); wall
     times live only in runtime_seconds and never reach emitted reports. The
     chains' trace goes to mcmc_trace_path, which is opened only when the
-    Bayesian technique runs.
+    Bayesian technique runs, and then before either technique starts, so a
+    path that cannot be written fails before any tree is grown.
     """
     dataset_name, train, test = _load_experiment_data(config)
     if config.p0 <= p_min(train.num_classes):
         raise ExperimentError(f"p0 must exceed 1/{train.num_classes}, got {config.p0}")
     runtime: dict[str, float] = {}
     randomized = bayesian = None
-    if config.technique in ("randomized", "both"):
-        start = time.perf_counter()
-        randomized = _run_randomized(config, train, test)
-        runtime["randomized"] = time.perf_counter() - start
-    if config.technique in ("bayesian", "both"):
-        start = time.perf_counter()
-        bayesian = _run_bayesian(config, train, test, trace_path=mcmc_trace_path)
-        runtime["bayesian"] = time.perf_counter() - start
+    bayes = config.technique in ("bayesian", "both")
+    traced = bayes and mcmc_trace_path is not None
+    with open(mcmc_trace_path, "w", encoding="utf-8") if traced else nullcontext() as trace:
+        if config.technique in ("randomized", "both"):
+            start = time.perf_counter()
+            randomized = _run_randomized(config, train, test)
+            runtime["randomized"] = time.perf_counter() - start
+        if bayes:
+            start = time.perf_counter()
+            bayesian = _run_bayesian(config, train, test, trace)
+            runtime["bayesian"] = time.perf_counter() - start
     return ExperimentReport(
         dataset_name=dataset_name,
         randomized=randomized,

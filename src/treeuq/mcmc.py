@@ -73,7 +73,7 @@ from .tree import DecisionTree, TreeNode, _check_rule, tree_size, walk
 
 # Not used in this module: the benchmark's tracer (perfbench/tracing.py)
 # wraps this module's binding by name and reports a missing one.
-from .tree import leaf_posterior_matrix  # noqa: F401
+from .ensemble import leaf_posterior_matrix  # noqa: F401
 
 __all__ = [
     "ChainSample",

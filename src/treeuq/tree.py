@@ -1,10 +1,9 @@
 """Binary axis-aligned classification trees.
 
 One node type serves both techniques: internal nodes carry a split rule,
-terminal nodes carry per-class training counts. Routing convention is
-``x[feature] <= threshold`` goes left. Split quality is Shannon information
-gain in bits; terminal-node class probabilities use Laplace (+1) smoothing so
-no class ever gets exactly zero probability.
+terminal nodes carry per-class training counts. A split sends
+``x[feature] <= threshold`` left. Split quality is Shannon information gain
+in bits. Scoring rows with a tree lives in the ensemble module.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "TreeNode",
     "enumerate_splits",
     "grow_randomized",
-    "leaf_posterior_matrix",
     "parse_tree",
     "serialize_tree",
     "top_k_splits",
@@ -104,30 +102,12 @@ def _check_rule(feature: int, threshold: float, columns: int) -> None:
         raise ValueError(f"tree splits on feature {feature} at threshold {threshold}, which is not finite")
 
 
-def _feature_matrix(features) -> np.ndarray:
-    """features as a float array; ValueError naming the shape unless it is 2-D."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D (rows, columns), got shape {features.shape}")
-    return features
-
-
-def _entropy_bits(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each row of a count matrix."""
+def _entropy_bits(counts: np.ndarray, totals) -> np.ndarray:
+    """Shannon entropy in bits of each row of a count matrix; totals are its row sums."""
     counts = np.asarray(counts, dtype=np.float64)
-    totals = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / totals
-        terms = np.where(counts > 0, p * np.log2(np.where(counts > 0, p, 1.0)), 0.0)
+    p = counts / np.asarray(totals, dtype=np.float64)[..., None]
+    terms = np.where(counts > 0, p * np.log2(np.where(counts > 0, p, 1.0)), 0.0)
     return -terms.sum(axis=-1)
-
-
-def _gain_bits(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Entropy reduction of splitting parent rows into left/right rows."""
-    n = parent.sum(axis=-1)
-    n_left = left.sum(axis=-1)
-    n_right = right.sum(axis=-1)
-    return _entropy_bits(parent) - (n_left * _entropy_bits(left) + n_right * _entropy_bits(right)) / n
 
 
 # One row per split candidate; enumerate_splits returns it, top_k_splits ranks it.
@@ -147,7 +127,8 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> np.ndarray:
     index, then threshold.
 
     Every feature is scored in one pass: the columns are sorted together, and
-    the gains of all candidates come from one ``_gain_bits`` call.
+    the gains of all candidates come from their cumulative class counts, with
+    each side's size read off its cut.
     """
     n = data.n
     onehot = np.zeros((n, data.num_classes), dtype=np.int64)
@@ -163,12 +144,15 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> np.ndarray:
     columns, cuts = np.nonzero(valid.T)
     left = np.cumsum(onehot[order], axis=0)[cuts, columns]
     right = parent[None, :] - left
+    n_left = cuts + 1
+    n_right = n - n_left
     candidates = np.empty(cuts.size, _SPLIT_DTYPE)
     candidates["feature"] = columns
     candidates["threshold"] = (sorted_values[cuts, columns] + sorted_values[cuts + 1, columns]) / 2.0
     # one parent row, so its entropy is computed once and is the same for
     # every candidate
-    candidates["gain"] = _gain_bits(parent[None, :], left, right)
+    children = n_left * _entropy_bits(left, n_left) + n_right * _entropy_bits(right, n_right)
+    candidates["gain"] = _entropy_bits(parent[None, :], n) - children / n
     return candidates
 
 
@@ -196,76 +180,6 @@ def top_k_splits(candidates: np.ndarray, k: int) -> np.ndarray:
         candidates = candidates[gains >= cutoff]
     ranked = np.lexsort((candidates["threshold"], candidates["feature"], -candidates["gain"]))
     return candidates[ranked[:k]]
-
-
-def leaf_posterior_matrix(tree: DecisionTree, features: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """Smoothed leaf posteriors for every row of a feature matrix, (n, C).
-
-    Each row gets the class probabilities (n_c + alpha) / (n + C * alpha) of
-    the leaf it reaches; ``alpha`` is the symmetric Dirichlet smoothing count,
-    and alpha=1 is Laplace smoothing. Features that are not 2-D, a split on
-    a column that features lacks or at a non-finite threshold, or an alpha
-    that is not finite and > 0 raise ValueError. The rows go through
-    ``_route`` with a fresh router and no previous tree.
-    """
-    if not 0 < alpha < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"need finite alpha > 0, got {alpha}")
-    features = _feature_matrix(features)
-    out = np.empty((features.shape[0], tree.root.counts.size))
-    for rows, posterior in _route(tree.root, _router(features), alpha):
-        out[rows] = posterior
-    return out
-
-
-def _router(features: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, int]]:
-    """Routing state for features, kept by one call for all the trees it routes.
-
-    (features, order, mids): the features; a permutation of their rows in
-    which every node's rows form one slice; and where each internal node's
-    slice splits, keyed by tree position (root 1, children 2p and 2p + 1).
-    """
-    return features, np.arange(features.shape[0]), {}
-
-
-def _route(root: TreeNode, router: tuple, alpha: float, previous: TreeNode | None = None):
-    """(rows, leaf posterior) for each leaf of root that rows reach.
-
-    ``previous`` is the root routed last with ``router``, if any. The walk
-    descends both trees by position. While a node and every node above it
-    split like the previous tree's, its rows are where that tree left them:
-    its stored mid is reused, and a node that is the previous one itself is
-    left out with its rows. Below the first changed split, each slice of the
-    row order is partitioned in place. The rows are views into that order,
-    valid until the next route. Every split not shared by reference is
-    checked, even without rows, so one on a column that features lacks, or
-    at a non-finite threshold, raises ValueError.
-    """
-    features, order, mids = router
-    routed = []
-    stack = [(root, previous, 1, 0, order.size)]
-    while stack:
-        node, old, position, lo, hi = stack.pop()
-        if node is old:
-            continue
-        if node.left is None:
-            if hi > lo:
-                counts = node.counts.astype(np.float64)
-                routed.append((order[lo:hi], (counts + alpha) / (counts.sum() + alpha * counts.size)))
-            continue
-        _check_rule(node.feature, node.threshold, features.shape[1])
-        if old is not None and old.feature == node.feature and old.threshold == node.threshold:
-            mid = mids[position]
-        else:
-            old = None
-            rows = order[lo:hi]
-            goes_left = features[rows, node.feature] <= node.threshold
-            left, right = rows.compress(goes_left), rows.compress(~goes_left)
-            mid = lo + left.size
-            order[lo:mid], order[mid:hi] = left, right
-            mids[position] = mid
-        stack.append((node.right, old and old.right, 2 * position + 1, mid, hi))
-        stack.append((node.left, old and old.left, 2 * position, lo, mid))
-    return routed
 
 
 def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) -> DecisionTree:

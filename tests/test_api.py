@@ -31,6 +31,16 @@ def test_all_lists_resolve_and_cover_the_package_reexports():
         assert getattr(treeuq, name) is getattr(modules[module_name], name)
 
 
+def test_every_module_binds_the_one_leaf_posterior_matrix():
+    """The one-tree scorer is one object, ensemble.py's, wherever it is bound."""
+    from treeuq import ensemble, experiment, mcmc
+
+    assert treeuq.leaf_posterior_matrix is ensemble.leaf_posterior_matrix
+    assert experiment.leaf_posterior_matrix is ensemble.leaf_posterior_matrix
+    assert mcmc.leaf_posterior_matrix is ensemble.leaf_posterior_matrix
+    assert ensemble.leaf_posterior_matrix.__module__ == "treeuq.ensemble"
+
+
 def test_every_private_module_level_name_is_read_elsewhere_in_the_package():
     """A private function, class or constant that no other code of the package reads is dead."""
     modules = {

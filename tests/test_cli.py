@@ -4,9 +4,10 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
-from treeuq import load_csv, parse_config
+from treeuq import experiment, load_csv, parse_config
 from treeuq.cli import main
 
 
@@ -93,6 +94,37 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 1
         assert "error:" in result.output
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_bad_output_path_fails_before_training(self, monkeypatch, tmp_path, flag):
+        started = []
+
+        def must_not_run(*args, **kwargs):
+            started.append(True)
+            raise AssertionError("training started before the output path was checked")
+
+        monkeypatch.setattr(experiment, "train_ensemble", must_not_run)
+        monkeypatch.setattr(experiment, "run_with_restarts", must_not_run)
+        bad = tmp_path / "absent" / "file.txt"
+        result = CliRunner().invoke(main, ["run", "--config", str(write_config(tmp_path)), flag, str(bad)])
+        assert result.exit_code == 1
+        assert result.output == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+        assert started == [] and not bad.parent.exists()
+
+    def test_failed_run_keeps_an_existing_out_file_and_removes_a_new_one(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr(experiment, "train_ensemble", fail)
+        config = str(write_config(tmp_path))
+        existing, new = tmp_path / "existing.csv", tmp_path / "new.csv"
+        existing.write_text("earlier report\n", encoding="utf-8")
+        for out in (existing, new):
+            result = CliRunner().invoke(main, ["run", "--config", config, "--out", str(out)])
+            assert result.exit_code == 1
+            assert result.output == "error: the run failed\n"
+        assert existing.read_text(encoding="utf-8") == "earlier report\n"
+        assert not new.exists()
 
     def test_trace_file_written(self, tmp_path):
         runner = CliRunner()

@@ -264,6 +264,17 @@ class TestRunExperiment:
             run_chain(train, config.mcmc, restart_index=restart, seed=seed, trace=expected)
         assert trace.read_bytes() == expected.getvalue().encode("utf-8")
 
+    @pytest.mark.parametrize("technique", ["both", "bayesian"])
+    def test_bad_trace_path_fails_before_training(self, monkeypatch, tmp_path, technique):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("training started before the trace path was opened")
+
+        monkeypatch.setattr(experiment, "train_ensemble", must_not_run)
+        monkeypatch.setattr(experiment, "run_with_restarts", must_not_run)
+        trace = tmp_path / "absent" / "bayes.trace"
+        with pytest.raises(FileNotFoundError):
+            run_experiment(tiny_config(technique=technique), mcmc_trace_path=trace)
+
     def test_randomized_run_writes_no_trace(self, tmp_path):
         trace = tmp_path / "bayes.trace"
         run_experiment(tiny_config(technique="randomized"), mcmc_trace_path=trace)

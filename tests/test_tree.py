@@ -8,6 +8,7 @@ import pytest
 from treeuq import (
     Dataset,
     DecisionTree,
+    McmcConfig,
     TreeNode,
     ensemble_posterior_matrix,
     enumerate_splits,
@@ -19,13 +20,15 @@ from treeuq import (
     parse_tree,
     propose_move,
     refresh_counts,
+    run_chain,
     sample_mixture,
     serialize_tree,
     top_k_splits,
     tree_size,
 )
+from treeuq import ensemble
 from treeuq import tree as tree_module
-from treeuq.tree import _gain_bits, walk
+from treeuq.tree import walk
 
 
 def oracle_entropy(counts) -> float:
@@ -48,8 +51,32 @@ def oracle_gain(parent, left, right) -> float:
     )
 
 
+def reference_entropy_bits(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row of a count matrix, its totals summed here."""
+    counts = np.asarray(counts, dtype=np.float64)
+    totals = counts.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / totals
+        terms = np.where(counts > 0, p * np.log2(np.where(counts > 0, p, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def reference_gain_bits(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Entropy reduction of splitting parent rows into left/right rows.
+
+    The formula ``enumerate_splits`` used before it read each side's size off
+    its cut; its gains must still equal this bit for bit.
+    """
+    n = parent.sum(axis=-1)
+    n_left = left.sum(axis=-1)
+    n_right = right.sum(axis=-1)
+    return reference_entropy_bits(parent) - (
+        n_left * reference_entropy_bits(left) + n_right * reference_entropy_bits(right)
+    ) / n
+
+
 def information_gain(parent_counts, left_counts, right_counts) -> float:
-    """Gain in bits of one split, through the package's own ``_gain_bits``.
+    """Gain in bits of one split, through ``reference_gain_bits``.
 
     The reference each ``enumerate_splits`` gain must equal bit for bit.
     """
@@ -60,7 +87,7 @@ def information_gain(parent_counts, left_counts, right_counts) -> float:
         raise ValueError("left and right counts must sum to the parent counts")
     if parent.sum() < 2:
         raise ValueError("parent must contain at least 2 points")
-    return float(_gain_bits(parent[None, :], left[None, :], right[None, :])[0])
+    return float(reference_gain_bits(parent[None, :], left[None, :], right[None, :])[0])
 
 
 def oracle_splits(data: Dataset, min_leaf: int):
@@ -108,7 +135,7 @@ def loop_splits(data: Dataset, min_leaf: int):
             continue
         left = np.cumsum(onehot[order], axis=0)[cuts]
         right = parent[None, :] - left
-        gains = _gain_bits(np.broadcast_to(parent, left.shape), left, right)
+        gains = reference_gain_bits(np.broadcast_to(parent, left.shape), left, right)
         thresholds = (sorted_values[cuts] + sorted_values[cuts + 1]) / 2.0
         candidates.extend((j, float(t), float(g)) for t, g in zip(thresholds, gains))
     return candidates
@@ -359,7 +386,7 @@ class TestLeafPosterior:
         def must_not_route(*args, **kwargs):
             raise AssertionError("a tree was routed before alpha was checked")
 
-        monkeypatch.setattr(tree_module, "_route", must_not_route)
+        monkeypatch.setattr(ensemble, "_route", must_not_route)
         with pytest.raises(ValueError, match="need finite alpha > 0"):
             leaf_posterior_matrix(DecisionTree(TreeNode([5, 0])), [[0.0]], alpha=alpha)
 
@@ -396,24 +423,30 @@ class TestPredict:
                     score(tree, np.array([0.1, 0.6, 0.9]))
 
     def test_matrix_agrees_with_pointwise(self):
-        # route each training row down the grown tree by hand: every leaf must
-        # hold the class counts of the rows that reach it, and each row must
-        # get the smoothed counts of its leaf
+        # route each training row down the tree by hand: every leaf must hold
+        # the class counts of the rows that reach it, and each row must get
+        # exactly the smoothed counts of its leaf, by the same float operations
         data = sample_mixture(make_benchmark_mixture(), 80, 2)
-        tree = grow_randomized(data, min_leaf=3, seed=4)
-        leaves = walk(tree.root)[0]
-        rows_of = {id(leaf): [] for leaf in leaves}
-        for row, x in enumerate(data.features):
-            node = tree.root
-            while not node.is_leaf:
-                node = node.left if x[node.feature] <= node.threshold else node.right
-            rows_of[id(node)].append(row)
-        expected = np.empty((data.n, 2))
-        for leaf in leaves:
-            rows = np.array(rows_of[id(leaf)], dtype=np.int64)
-            assert np.array_equal(leaf.counts, np.bincount(data.labels[rows], minlength=2))
-            expected[rows] = (leaf.counts + 1.0) / (leaf.counts.sum() + 2.0)
-        assert np.allclose(leaf_posterior_matrix(tree, data.features), expected, rtol=0, atol=1e-15)
+        chain_config = McmcConfig(restarts=1, burn_in=30, post_burn_in=1, max_leaves=12)
+        grown = grow_randomized(data, min_leaf=3, seed=4)
+        sampled = run_chain(data, chain_config, seed=4)[-1].tree
+        for tree in (grown, sampled):
+            leaves = walk(tree.root)[0]
+            assert len(leaves) > 2
+            rows_of = {id(leaf): [] for leaf in leaves}
+            for row, x in enumerate(data.features):
+                node = tree.root
+                while not node.is_leaf:
+                    node = node.left if x[node.feature] <= node.threshold else node.right
+                rows_of[id(node)].append(row)
+            for alpha in (1.0, 0.5, 2.0):
+                expected = np.empty((data.n, 2))
+                for leaf in leaves:
+                    rows = np.array(rows_of[id(leaf)], dtype=np.int64)
+                    assert np.array_equal(leaf.counts, np.bincount(data.labels[rows], minlength=2))
+                    counts = leaf.counts.astype(np.float64)
+                    expected[rows] = (counts + alpha) / (counts.sum() + alpha * counts.size)
+                assert np.array_equal(leaf_posterior_matrix(tree, data.features, alpha), expected)
 
 
 class TestGrowRandomized:
