@@ -102,19 +102,53 @@ def _check_rule(feature: int, threshold: float, columns: int) -> None:
         raise ValueError(f"tree splits on feature {feature} at threshold {threshold}, which is not finite")
 
 
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of the class rows of a (classes, K) array, bit for bit ``terms.T.sum(axis=-1)``.
+
+    numpy sums each row of the transpose pairwise: fewer than 8 terms in
+    sequence from 0.0; up to 128 as eight partial sums, then the rest in
+    sequence; longer runs as two halves split at a multiple of 8. Here each
+    term is a whole class row, so every addition covers all K columns.
+    """
+    classes = len(terms)
+    if classes > 128:
+        half = classes // 2 - classes // 2 % 8
+        return _class_sum(terms[:half]) + _class_sum(terms[half:])
+    blocks = classes - classes % 8
+    total = 0.0
+    if blocks:
+        partial = terms[:8].copy()
+        for start in range(8, blocks, 8):
+            partial += terms[start : start + 8]
+        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+            (partial[4] + partial[5]) + (partial[6] + partial[7])
+        )
+    for row in terms[blocks:]:
+        total = total + row
+    return total
+
+
 def _entropy_bits(counts: np.ndarray, totals) -> np.ndarray:
-    """Shannon entropy in bits of each row of a count matrix; totals are its row sums."""
-    counts = np.asarray(counts, dtype=np.float64)
-    p = counts / np.asarray(totals, dtype=np.float64)[..., None]
-    terms = np.where(counts > 0, p * np.log2(np.where(counts > 0, p, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    """Shannon entropy in bits of each column of a (classes, K) count matrix.
+
+    ``totals`` are its column sums. The class rows are added by ``_class_sum``,
+    so each entropy equals that of the count matrix's transpose summed with
+    ``sum(axis=-1)``, bit for bit. An absent class has p = 0 and adds
+    0 * log2(1) = 0. The terms are computed in place, to keep the peak
+    memory of a wide node down.
+    """
+    p = counts / totals
+    terms = np.where(counts > 0, p, 1.0)
+    np.log2(terms, out=terms)
+    terms *= p
+    return -_class_sum(terms)
 
 
 # One row per split candidate; enumerate_splits returns it, top_k_splits ranks it.
 _SPLIT_DTYPE = np.dtype([("feature", np.int64), ("threshold", np.float64), ("gain", np.float64)])
 
 
-def enumerate_splits(data: Dataset, min_leaf: int) -> np.ndarray:
+def enumerate_splits(data: Dataset, min_leaf: int, order: np.ndarray | None = None) -> np.ndarray:
     """All candidate splits of a node's data, one structured record each.
 
     The records have the fields ``feature`` (int64), ``threshold`` and
@@ -123,36 +157,51 @@ def enumerate_splits(data: Dataset, min_leaf: int) -> np.ndarray:
     One candidate per (feature, midpoint between consecutive distinct sorted
     values); a candidate sends ``x[feature] <= threshold`` left, and its gain
     is the information gain in bits. Candidates leaving fewer than min_leaf
-    points in either child are dropped. Candidates are ordered by feature
-    index, then threshold.
+    points in either child are dropped; min_leaf below 1 raises ValueError.
+    Candidates are ordered by feature index, then threshold.
 
-    Every feature is scored in one pass: the columns are sorted together, and
-    the gains of all candidates come from their cumulative class counts, with
-    each side's size read off its cut.
+    ``order`` is an (m, n) array whose row j lists the row positions of data
+    sorted by column j; another shape raises ValueError. ``grow_randomized``
+    passes each node its slice of the one order it keeps per tree, as rows
+    of the node's Dataset. Without it, the columns are sorted here with one
+    stable ``argsort``. Rows with equal values may come in any order: a cut
+    falls only between distinct values, so the result is the same.
+
+    Every feature is scored in one column-major pass: the gains of all
+    candidates come from their cumulative class counts, with each side's
+    size read off its cut. The counts are laid out as (classes, candidates),
+    and entropy adds the class rows in numpy's own ``sum(axis=-1)`` order,
+    so every gain is bit for bit that of the (candidates, classes) layout.
     """
-    n = data.n
-    onehot = np.zeros((n, data.num_classes), dtype=np.int64)
-    onehot[np.arange(n), data.labels] = 1
-    parent = onehot.sum(axis=0)
-
-    order = np.argsort(data.features, axis=0, kind="stable")
-    sorted_values = np.take_along_axis(data.features, order, axis=0)
-    # cut i puts sorted rows 0..i of a column on the left
-    left_sizes = np.arange(1, n)
-    valid = sorted_values[:-1] != sorted_values[1:]
-    valid &= ((left_sizes >= min_leaf) & (n - left_sizes >= min_leaf))[:, None]
-    columns, cuts = np.nonzero(valid.T)
-    left = np.cumsum(onehot[order], axis=0)[cuts, columns]
-    right = parent[None, :] - left
-    n_left = cuts + 1
+    if min_leaf < 1:
+        raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
+    n, m = data.n, data.m
+    if order is None:
+        order = np.argsort(data.features.T, axis=1, kind="stable")
+    elif np.shape(order) != (m, n):
+        raise ValueError(f"order must have shape {(m, n)}, got {np.shape(order)}")
+    sorted_values = data.features.take(order * m + np.arange(m)[:, None])
+    # cut i of a column puts its sorted rows 0..i on the left; the cuts from
+    # first to stop - 1 leave min_leaf rows on each side
+    first, stop = min_leaf - 1, max(n - min_leaf, min_leaf - 1)
+    valid = np.zeros((m, n), dtype=bool)
+    valid[:, first:stop] = sorted_values[:, first:stop] != sorted_values[:, first + 1 : stop + 1]
+    at = np.flatnonzero(valid)  # feature * n + cut: by feature, then threshold
+    columns = at // n
+    n_left = at - columns * n + 1
     n_right = n - n_left
-    candidates = np.empty(cuts.size, _SPLIT_DTYPE)
-    candidates["feature"] = columns
-    candidates["threshold"] = (sorted_values[cuts, columns] + sorted_values[cuts + 1, columns]) / 2.0
-    # one parent row, so its entropy is computed once and is the same for
+    classes = np.arange(data.num_classes)[:, None, None]
+    below = np.cumsum(data.labels.take(order) == classes, axis=2).reshape(len(classes), -1)
+    left = below.take(at, axis=1)
+    parent = below[:, n - 1 : n]  # all of column 0: the node's class counts
+    # one parent column, so its entropy is computed once and is the same for
     # every candidate
-    children = n_left * _entropy_bits(left, n_left) + n_right * _entropy_bits(right, n_right)
-    candidates["gain"] = _entropy_bits(parent[None, :], n) - children / n
+    children = n_left * _entropy_bits(left, n_left) + n_right * _entropy_bits(parent - left, n_right)
+    gain = _entropy_bits(parent, n) - children / n
+    candidates = np.empty(at.size, _SPLIT_DTYPE)
+    candidates["feature"] = columns
+    candidates["threshold"] = (sorted_values.take(at) + sorted_values.take(at + 1)) / 2.0
+    candidates["gain"] = gain
     return candidates
 
 
@@ -191,34 +240,59 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     once; the drawn record is read with ``.item()``, so every split keeps a
     Python int feature and a Python float threshold. Deterministic given
     seed; with top_k=1 this is greedy CART.
+
+    The columns are sorted once per tree, into one (m, n) row order in which
+    every node's rows form one slice of each column's order. A node passes
+    its slice to ``enumerate_splits``, and a split partitions the slice
+    stably in place, so no node sorts again and the tree keeps one order at
+    any depth. Each node's Dataset is ``data.subset`` of its rows.
     """
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
     if top_k < 1:
         raise ValueError(f"need top_k >= 1, got {top_k}")
     rng = np.random.default_rng(seed)
+    m = data.m
+    order = np.argsort(data.features.T, axis=1, kind="stable")
+    position = np.empty(data.n, dtype=np.intp)  # a node's rows: their row in its Dataset
 
-    def build(indices: np.ndarray) -> TreeNode:
-        node_data = data.subset(indices)
+    def split(node_data: Dataset, lo: int, hi: int) -> tuple[int, float, int] | None:
+        """Draw the split of the node on order[:, lo:hi] and partition its slice.
+
+        Returns (feature, threshold, end of the left child's slice), or None
+        without a candidate. Its arrays die on return, before the subtrees grow.
+        """
+        block = order[:, lo:hi]
+        position[block[0]] = np.arange(hi - lo)
+        local = position[block]
+        candidates = enumerate_splits(node_data, min_leaf, local)
+        if candidates.size == 0:
+            return None
+        best = top_k_splits(candidates, top_k)
+        feature, threshold, _ = best[rng.integers(len(best))].item()
+        goes_left = (node_data.features[:, feature] <= threshold)[local]
+        rows, goes_left = block.ravel(), goes_left.ravel()
+        left, right = rows.compress(goes_left), rows.compress(~goes_left)
+        mid = lo + left.size // m
+        order[:, lo:mid], order[:, mid:hi] = left.reshape(m, -1), right.reshape(m, -1)
+        return feature, threshold, mid
+
+    def build(lo: int, hi: int) -> TreeNode:
+        node_data = data.subset(order[0, lo:hi])
         counts = node_data.class_counts()
         if np.count_nonzero(counts) <= 1 or node_data.n < 2 * min_leaf:
             return TreeNode(counts)
-        candidates = enumerate_splits(node_data, min_leaf)
-        if candidates.size == 0:
+        chosen = split(node_data, lo, hi)
+        if chosen is None:
             return TreeNode(counts)
-        best = top_k_splits(candidates, top_k)
-        feature, threshold, _ = best[rng.integers(len(best))].item()
-        del candidates  # an ancestor's array is not needed while its subtrees grow
-        goes_left = node_data.features[:, feature] <= threshold
-        return TreeNode(
-            counts,
-            feature=feature,
-            threshold=threshold,
-            left=build(indices[goes_left]),
-            right=build(indices[~goes_left]),
-        )
+        feature, threshold, mid = chosen
+        return TreeNode(counts, feature=feature, threshold=threshold, left=build(lo, mid),
+                        right=build(mid, hi))
 
-    root = build(np.arange(data.n))
+    root = build(0, data.n)
+    # build's closure holds build itself; emptying that cell frees this
+    # tree's order now rather than at the next garbage collection
+    del build
     return DecisionTree(root)
 
 

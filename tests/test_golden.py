@@ -67,33 +67,39 @@ def test_run_chain_golden(case):
     assert _sha256(text + trace.getvalue()) == pinned
 
 
-def _wide_tied(seed: int) -> Dataset:
-    """Twelve coarsely rounded features, one of them constant, and three classes.
+def _wide_tied(seed: int, num_classes: int = 3) -> Dataset:
+    """Twelve coarsely rounded features, one of them constant, and num_classes classes.
 
     Rounding to halves makes most candidate splits share their gain with
-    another, so the top-k cut-off falls inside tie groups.
+    another, so the top-k cut-off falls inside tie groups. The classes are
+    bands of a noisy linear signal, between evenly spaced edges.
     """
     rng = np.random.default_rng(seed)
     features = np.round(rng.standard_normal((240, 12)) * 2.0) / 2.0
     features[:, 4] = 1.5
     signal = features[:, 0] + features[:, 1] - features[:, 2]
-    labels = np.digitize(signal + rng.standard_normal(240), [-1.0, 1.0])
-    return Dataset(features, labels, 3, tuple(f"x{i}" for i in range(12)))
+    edges = np.linspace(-1.0, 1.0, num_classes - 1) * (num_classes - 1) / 2.0
+    labels = np.digitize(signal + rng.standard_normal(240), edges)
+    return Dataset(features, labels, num_classes, tuple(f"x{i}" for i in range(12)))
 
 
 GROW_CASES = [
-    # (dataset seed, growth seed, min_leaf, pinned sha256 of serialize_tree)
-    (21, 1, 1, "6aff87c8b1d70456a322376fd413c7dc78ae6d1141ac932508e5124c51d0842c"),
-    (21, 2, 3, "c2c41165e6d20e62f7242e4b45dec6d0e7ca92246b2c69a229742c7127182a93"),
-    (22, 3, 5, "d94a3dcc440f73f9c24148b4f614f0b64ce85264b0bb33ea740dd3f7e228a0de"),
-    (23, 4, 2, "53a57fe4828deba12c29f0ae3f006e7cdb1c14c046edcecf052c4a208fa07c57"),
+    # (dataset seed, class count, growth seed, min_leaf, pinned sha256 of serialize_tree)
+    (21, 3, 1, 1, "6aff87c8b1d70456a322376fd413c7dc78ae6d1141ac932508e5124c51d0842c"),
+    (21, 3, 2, 3, "c2c41165e6d20e62f7242e4b45dec6d0e7ca92246b2c69a229742c7127182a93"),
+    (22, 3, 3, 5, "d94a3dcc440f73f9c24148b4f614f0b64ce85264b0bb33ea740dd3f7e228a0de"),
+    (23, 3, 4, 2, "53a57fe4828deba12c29f0ae3f006e7cdb1c14c046edcecf052c4a208fa07c57"),
+    # from 8 classes on numpy sums entropy terms pairwise, and no list
+    # reference matches that bit for bit, so this pin is the whole-tree check
+    (24, 9, 5, 2, "ffbe6eb92d65efecfd5f9bbff95c92cde18566ebcab97273dce3515d1911a499"),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(GROW_CASES)))
 def test_grow_randomized_golden(case):
-    data_seed, grow_seed, min_leaf, pinned = GROW_CASES[case]
-    tree = grow_randomized(_wide_tied(data_seed), min_leaf=min_leaf, top_k=20, seed=grow_seed)
+    data_seed, num_classes, grow_seed, min_leaf, pinned = GROW_CASES[case]
+    data = _wide_tied(data_seed, num_classes)
+    tree = grow_randomized(data, min_leaf=min_leaf, top_k=20, seed=grow_seed)
     assert _sha256(serialize_tree(tree)) == pinned
 
 

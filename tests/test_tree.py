@@ -1,6 +1,8 @@
 """Tree growth, split scoring, prediction, and serialization."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -238,6 +240,24 @@ class TestEnumerateSplits:
         thresholds = [threshold for _, threshold, _ in enumerate_splits(data, min_leaf=2).tolist()]
         assert thresholds == [1.5, 2.5, 3.5]
 
+    @pytest.mark.parametrize("min_leaf", [0, -3])
+    def test_min_leaf_below_one_rejected_before_sorting(self, min_leaf, monkeypatch):
+        def must_not_sort(*args, **kwargs):
+            raise AssertionError("sorted before checking min_leaf")
+
+        monkeypatch.setattr(np, "argsort", must_not_sort)
+        data = Dataset([[float(i)] for i in range(6)], [0, 0, 0, 1, 1, 1], 2, ("x",))
+        with pytest.raises(ValueError, match=f"need min_leaf >= 1, got {min_leaf}"):
+            enumerate_splits(data, min_leaf)
+
+    def test_order_of_another_shape_rejected(self):
+        data = Dataset([[float(i), -float(i)] for i in range(6)], [0, 0, 0, 1, 1, 1], 2, ("x", "y"))
+        whole = np.argsort(data.features.T, axis=1, kind="stable")
+        assert enumerate_splits(data, 1, whole).tobytes() == enumerate_splits(data, 1).tobytes()
+        for order in (whole.T, whole[:1], whole[:, :5]):
+            with pytest.raises(ValueError, match=r"order must have shape \(2, 6\)"):
+                enumerate_splits(data, 1, order)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_oracle(self, seed):
         rng = np.random.default_rng(seed)
@@ -286,7 +306,9 @@ class TestEnumerateSplits:
             assert got.tolist() == loop_splits(wide, min_leaf)
 
 
-    @pytest.mark.parametrize("num_classes", [2, 3, 8, 9, 12])
+    # numpy sums fewer than 8 terms in sequence, 8 to 128 as eight partial
+    # sums, and splits longer runs in two: the class counts straddle each rule
+    @pytest.mark.parametrize("num_classes", [2, 3, 7, 8, 9, 12, 16, 129])
     def test_each_gain_is_information_gain_bit_for_bit(self, num_classes):
         rng = np.random.default_rng(num_classes)
         data = random_dataset(rng, 150, m=4, num_classes=num_classes, grid=9)
@@ -523,6 +545,63 @@ class TestGrowRandomized:
         for calls in results.values():
             assert all(result.dtype == tree_module._SPLIT_DTYPE for result in calls)
             assert sum(map(len, calls)) == sum(len(result.tolist()) for result in calls)
+
+    @pytest.mark.parametrize("case", ["3 classes", "5 classes", "signed zeros"])
+    def test_matches_the_list_reference_grower_beyond_two_classes(self, case, monkeypatch):
+        # every search the grower makes must give the same bytes from the
+        # grower's row order as from a fresh sort of the node's data
+        searches = []
+
+        def checked(data, min_leaf, order=None, _original=tree_module.enumerate_splits):
+            got = _original(data, min_leaf, order)
+            assert order is not None
+            assert got.tobytes() == _original(data, min_leaf).tobytes()
+            searches.append(len(got))
+            return got
+
+        monkeypatch.setattr(tree_module, "enumerate_splits", checked)
+        rng = np.random.default_rng(len(case))
+        num_classes = {"3 classes": 3, "5 classes": 5}.get(case, 2)
+        data = random_dataset(rng, 150, m=5, num_classes=num_classes, grid=8)
+        if case == "signed zeros":
+            features = data.features.copy()
+            features[:, 1] = rng.choice([-1.0, -0.0, 0.0, 1.0], data.n)
+            zeros = features[:, 1][features[:, 1] == 0.0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+            data = Dataset(features, data.labels, num_classes, data.feature_names)
+        for min_leaf in (1, 4):
+            for top_k in (1, 20):
+                for seed in range(3):
+                    expected = serialize_tree(reference_grow(data, min_leaf, top_k, seed))
+                    assert serialize_tree(grow_randomized(data, min_leaf, top_k, seed)) == expected
+        assert len(searches) > 100 and sum(searches) > 0
+
+    def test_one_argsort_per_tree_freed_on_return(self, monkeypatch):
+        # the split search reads each node's slice of the tree's one row order;
+        # a node that sorted its own block would grow the same tree, slower.
+        # The order must not outlive the call waiting for a garbage collection.
+        calls = []
+
+        def counted(*args, _original=np.argsort, **kwargs):
+            result = _original(*args, **kwargs)
+            calls.append((args[0].shape, weakref.ref(result)))
+            return result
+
+        monkeypatch.setattr(np, "argsort", counted)
+        rng = np.random.default_rng(32)
+        mixture = sample_mixture(make_benchmark_mixture(), 200, 32)
+        data = Dataset(np.hstack([mixture.features, rng.standard_normal((200, 30))]),
+                       mixture.labels, 2, tuple(f"f{i}" for i in range(32)))
+        gc.disable()
+        try:
+            for seed in range(3):
+                calls.clear()
+                tree = grow_randomized(data, min_leaf=2, seed=seed)
+                assert len(walk(tree.root)[1]) > 10
+                assert [shape for shape, _ in calls] == [(32, 200)]
+                assert calls[0][1]() is None
+        finally:
+            gc.enable()
 
     def test_top_k_below_one_rejected_at_entry(self):
         # pure data never reaches the split search, two-class data would
