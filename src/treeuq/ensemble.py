@@ -13,7 +13,9 @@ symmetric Dirichlet count (alpha=1 is Laplace (+1) smoothing, so no class
 ever gets exactly zero probability). One tree alone is scored as an ensemble
 of one. The scorer keeps one row order for all the trees of a call, in which
 every node's rows form one slice. A sampler tree splits like its predecessor
-above its move, so the rows above the move are not re-routed.
+above its move, so the rows above the move are not re-routed, and in vote
+mode only the re-routed rows are compared and credited: the cost of a tree
+follows the rows its move touched, not the size of the test set.
 """
 
 from __future__ import annotations
@@ -105,9 +107,11 @@ def ensemble_posterior_matrix(
     previous one, at a position and above it, the rows are not re-routed,
     and a subtree shared by reference is left out with its rows. After a
     sampler move, only the moved subtree's slices are partitioned again;
-    randomised trees share no split and route all. Vote mode credits a row's
-    weight to its label when the label changes, an exact integer sum, so
-    both modes equal scoring each tree alone.
+    randomised trees share no split and route all. Vote mode looks only at
+    the re-routed rows (the others keep their leaf, so their label), and a
+    row whose label changes credits the weight its old label held: exact
+    integer sums, so both modes equal scoring each tree alone. Average mode
+    writes the first tree's weighted posterior straight into the result.
     """
     if len(trees) < 1:
         raise ValueError("ensemble is empty")
@@ -125,29 +129,45 @@ def ensemble_posterior_matrix(
     features = _feature_matrix(features)
     n = features.shape[0]
     order, mids = np.arange(n), {}  # the row order and split points _route keeps
-    out = np.zeros((n, num_classes))
-    posterior = np.empty((n, num_classes))  # average: the previous tree's, per row
-    label = np.zeros(n, dtype=np.intp)  # vote: the previous tree's argmax, per row
-    since, total, previous = np.zeros(n), 0, None  # vote: total weight when label[row] was set
+    if mode == "average":
+        out = np.empty((n, num_classes))  # the first tree writes it whole
+        # the previous tree's posterior, per row; a lone tree's is out itself
+        posterior = out if len(distinct) == 1 else np.empty((n, num_classes))
+    else:
+        out = np.zeros((n, num_classes))
+        credits = out.reshape(-1)  # out[row, c] is credits[row * num_classes + c]
+        label = np.zeros(n, dtype=np.intp)  # the previous tree's argmax, per row
+    previous, total = None, 0  # vote: the weight of the trees so far
     for tree, weight in distinct.values():
         routed = _route(tree.root, features, order, mids, alpha, previous)
-        previous = tree.root
+        first, previous = previous is None, tree.root
         if mode == "average":
             for rows, leaf in routed:
                 posterior[rows] = leaf
-            out += weight * posterior
-        else:
-            new = label.copy()
-            for rows, leaf in routed:
-                new[rows] = np.argmax(leaf)
-            changed = np.flatnonzero(new != label)
-            out[changed, label[changed]] += total - since[changed]
-            since[changed] = total
-            label = new
-            total += weight
+            if first:  # leaf posteriors are > 0, so this is 0.0 + weight * posterior
+                np.multiply(posterior, weight, out=out)
+            else:
+                out += weight * posterior
+            continue
+        # Only a routed row can change label: the others sit under a subtree
+        # shared by reference, in the same leaf. A label held from weight t0
+        # to t1 gets t1 - t0, as -t0 when it starts and +t1 when it ends.
+        if routed:
+            sizes = [rows.size for rows, _ in routed]
+            rows = order if sum(sizes) == n else np.concatenate([rows for rows, _ in routed])
+            new = np.repeat([leaf.argmax() for _, leaf in routed], sizes)
+            old = label[rows]
+            moved = old != new
+            rows, new = rows[moved], new[moved]
+            label[rows] = new
+            rows *= num_classes
+            credits[rows + old[moved]] += total
+            credits[rows + new] -= total
+        total += weight
     if mode == "vote":
-        out[np.arange(n), label] += total - since
-    out /= len(trees)
+        out[np.arange(n), label] += total
+    if len(trees) > 1:  # x / 1 == x
+        out /= len(trees)
     return out
 
 
@@ -206,7 +226,8 @@ def _route(
         else:
             old = None
             rows = order[lo:hi]
-            goes_left = features[rows, node.feature] <= node.threshold
+            # indexing the column view is about twice as fast as features[rows, feature]
+            goes_left = features[:, node.feature][rows] <= node.threshold
             left, right = rows.compress(goes_left), rows.compress(~goes_left)
             mid = lo + left.size
             order[lo:mid], order[mid:hi] = left, right

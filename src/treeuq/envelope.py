@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tree import _class_sum
+
 __all__ = [
     "EnvelopeSummary",
     "cross_fold_summary",
@@ -54,6 +56,9 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
     Row i of posteriors is the class posterior of test point i and labels[i]
     its true class. The predicted class is the row's argmax (ties to the
     lower index); the outcome is confident when its probability reaches p0.
+    Rows are checked and classified one class column at a time, so a test
+    set of n rows and C classes costs a few passes of length n per column,
+    not reductions along rows of length C.
     """
     posteriors = np.asarray(posteriors, dtype=np.float64)
     given = np.asarray(labels)
@@ -65,11 +70,13 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
         raise ValueError(f"got posteriors of shape {posteriors.shape} for {labels.shape[0]} labels")
     if posteriors.shape[0] < 1:
         raise ValueError("need at least one prediction")
-    # a NaN entry fails both comparisons, an infinite one (or inf - inf) one of them
+    # a NaN entry fails both comparisons, an infinite one (or inf - inf) one
+    # of them; _class_sum adds the columns in sum(axis=1)'s order, bit for bit
+    columns = posteriors.T
     with np.errstate(invalid="ignore"):
-        valid = (posteriors.min(axis=1) >= -POSTERIOR_SUM_TOLERANCE) & (
-            np.abs(posteriors.sum(axis=1) - 1.0) <= POSTERIOR_SUM_TOLERANCE
-        )
+        valid = np.abs(_class_sum(columns) - 1.0) <= POSTERIOR_SUM_TOLERANCE
+        for column in columns:
+            valid &= column >= -POSTERIOR_SUM_TOLERANCE
     if not valid.all():
         bad = int(np.argmin(valid))
         raise ValueError(
@@ -87,17 +94,35 @@ def envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
         bad = int(np.argmax(outside))
         raise ValueError(f"label {bad} is {labels[bad]}, outside 0..{num_classes - 1}")
 
-    predicted = np.argmax(posteriors, axis=1)
-    confident = posteriors[np.arange(len(labels)), predicted] >= p0
+    n = len(labels)
+    predicted, top = _column_argmax(posteriors)
+    confident = top >= p0
     correct = predicted == labels
-    rate_correct = float(np.mean(confident & correct))
-    rate_incorrect = float(np.mean(confident & ~correct))
+    # each rate is a count over n: the correctly rounded quotient that
+    # np.mean of the boolean array gives too
+    confident_total = int(np.count_nonzero(confident))
+    confident_correct = int(np.count_nonzero(confident & correct))
     return EnvelopeSummary(
-        rate_correct=rate_correct,
-        rate_uncertain=float(np.mean(~confident)),
-        rate_incorrect=rate_incorrect,
-        accuracy=float(np.mean(correct)),
+        rate_correct=confident_correct / n,
+        rate_uncertain=(n - confident_total) / n,
+        rate_incorrect=(confident_total - confident_correct) / n,
+        accuracy=int(np.count_nonzero(correct)) / n,
     )
+
+
+def _column_argmax(posteriors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax and top value, by a scan over the class columns.
+
+    A later column takes a row only where it is strictly greater, so ties go
+    to the lower class, as with ``np.argmax(axis=1)`` on rows without NaN.
+    """
+    top = posteriors[:, 0].copy()
+    predicted = np.zeros(len(posteriors), dtype=np.intp)
+    for c in range(1, posteriors.shape[1]):
+        column = posteriors[:, c]
+        predicted[column > top] = c
+        np.maximum(top, column, out=top)
+    return predicted, top
 
 
 def cross_fold_summary(fold_summaries) -> EnvelopeSummary:

@@ -32,7 +32,7 @@ from .ensemble import (
     leaf_posterior_matrix,
     train_ensemble,
 )
-from .envelope import EnvelopeSummary, cross_fold_summary, envelope_rates, p_min
+from .envelope import EnvelopeSummary, _column_argmax, cross_fold_summary, envelope_rates, p_min
 from .mcmc import McmcConfig, bayes_predictive_matrix, run_with_restarts
 from .tree import DecisionTree
 
@@ -280,7 +280,7 @@ def _run_randomized(config: ExperimentConfig, train: Dataset, test: Dataset) -> 
 
         posteriors = ensemble_posterior_matrix(trees, test.features, mode=config.envelope_mode)
         best_idx, _ = best_single_tree(trees, validation)
-        best_tree_predicted = np.argmax(leaf_posterior_matrix(trees[best_idx], test.features), axis=1)
+        best_tree_predicted, _ = _column_argmax(leaf_posterior_matrix(trees[best_idx], test.features))
         all_trees.extend(trees)
         fold_results.append(
             FoldResult(

@@ -304,18 +304,15 @@ def serialize_tree(tree: DecisionTree) -> str:
     reconstructs the shape without child pointers.
     """
     lines: list[str] = []
-
-    def emit(node: TreeNode) -> None:
-        node_id = len(lines)
+    stack = [tree.root]  # a loop, not a recursive closure: no reference cycle
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
             counts = " ".join(str(int(c)) for c in node.counts)
-            lines.append(f"{node_id} leaf {counts}")
+            lines.append(f"{len(lines)} leaf {counts}")
         else:
-            lines.append(f"{node_id} split {node.feature} {node.threshold!r}")
-            emit(node.left)
-            emit(node.right)
-
-    emit(tree.root)
+            lines.append(f"{len(lines)} split {node.feature} {node.threshold!r}")
+            stack += (node.right, node.left)
     return "\n".join(lines) + "\n"
 
 
@@ -343,23 +340,28 @@ def _parse_line(number: int, line: str, num_classes: int) -> tuple[int, float] |
 def parse_tree(text: str, num_classes: int) -> DecisionTree:
     """Inverse of serialize_tree; a malformed line raises ValueError naming it."""
     lines = text.strip().splitlines()
-    pos = 0
-
-    def build() -> TreeNode:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError("truncated tree text")
-        parsed = _parse_line(pos + 1, lines[pos], num_classes)
-        pos += 1
-        if isinstance(parsed, np.ndarray):
-            return TreeNode(parsed)
-        left = build()
-        right = build()
-        return TreeNode(
-            left.counts + right.counts, feature=parsed[0], threshold=parsed[1], left=left, right=right
-        )
-
-    root = build()
-    if pos != len(lines):
-        raise ValueError("trailing lines after tree")
+    # Preorder, read in a loop rather than a recursive closure (which would
+    # leave a reference cycle): each split waits on the stack with the
+    # children it has so far, and a finished node joins the split above it.
+    waiting: list[tuple[tuple[int, float], list[TreeNode]]] = []
+    root = None
+    for number, line in enumerate(lines, 1):
+        if root is not None:
+            raise ValueError("trailing lines after tree")
+        parsed = _parse_line(number, line, num_classes)
+        if not isinstance(parsed, np.ndarray):
+            waiting.append((parsed, []))
+            continue
+        node = TreeNode(parsed)
+        while waiting and len(waiting[-1][1]) == 1:
+            (feature, threshold), (left,) = waiting.pop()
+            node = TreeNode(
+                left.counts + node.counts, feature=feature, threshold=threshold, left=left, right=node
+            )
+        if waiting:
+            waiting[-1][1].append(node)
+        else:
+            root = node
+    if root is None:
+        raise ValueError("truncated tree text")
     return DecisionTree(root)

@@ -2,6 +2,7 @@
 
 import re
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,11 +17,13 @@ from treeuq import (
     best_single_tree,
     ensemble_mean_size,
     ensemble_posterior_matrix,
+    envelope_rates,
     grow_randomized,
     leaf_posterior_matrix,
     make_benchmark_mixture,
     parse_tree,
     propose_move,
+    run_chain,
     run_with_restarts,
     sample_mixture,
     sample_prior_tree,
@@ -190,6 +193,48 @@ class TestEnsemblePosterior:
         )
         for case in cases:
             post = ensemble_posterior_matrix(case, features, mode=mode)
+            assert np.array_equal(post, plain_loop(case, features, mode, 1.0))
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    def test_long_three_class_chain_matches_a_plain_loop_bit_for_bit(self, mode):
+        # vote mode updates only the rows each tree re-routes; over a long
+        # chain, with its repeated tree objects, that must still equal
+        # scoring every tree alone, on a test set far larger than the training set
+        rng = np.random.default_rng(21)
+        features = rng.standard_normal((150, 2))
+        labels = (features[:, 0] > -0.3).astype(int) + (features[:, 1] > 0.4)
+        three = Dataset(features, labels, 3, ("a", "b"))
+        config = McmcConfig(restarts=1, burn_in=100, post_burn_in=400)
+        trees = [s.tree for s in run_chain(three, config, seed=9)]
+        assert len(trees) > len({id(t) for t in trees}) > 20  # repeats and moves
+        test = rng.standard_normal((6000, 2)) * 1.5
+        post = ensemble_posterior_matrix(trees, test, mode=mode)
+        assert np.array_equal(post, plain_loop(trees, test, mode, 1.0))
+        assert len(np.unique(np.argmax(post, axis=1))) == 3
+
+    @pytest.mark.parametrize("mode", ["vote", "average"])
+    def test_leaf_vote_flips_without_a_split_change(self, mode, monkeypatch):
+        # the second tree keeps every split and the right subtree by reference,
+        # but its left leaf votes the other way: only the left rows are routed
+        # again, and they must change label while the right rows keep theirs
+        features = np.random.default_rng(17).standard_normal((500, 2))
+        right = split(1, 0.2, leaf(6, 1), leaf(1, 6))
+        a = DecisionTree(split(0, 0.0, leaf(5, 1), right))
+        b = DecisionTree(split(0, 0.0, leaf(1, 5), right))
+        tied = DecisionTree(split(0, 0.0, leaf(3, 3), right))
+        route, routed = ensemble._route, []
+
+        def counting_route(*args):
+            result = route(*args)
+            routed.append(sum(rows.size for rows, _ in result))
+            return result
+
+        monkeypatch.setattr(ensemble, "_route", counting_route)
+        left_rows = int(np.count_nonzero(features[:, 0] <= 0.0))
+        for case in ([a, b], [a, b, a, b, b, a], [b, b, a, tied, a, b], [tied, b, a, a]):
+            routed.clear()
+            post = ensemble_posterior_matrix(case, features, mode=mode)
+            assert routed[0] == len(features) and set(routed[1:]) == {left_rows}
             assert np.array_equal(post, plain_loop(case, features, mode, 1.0))
 
     @pytest.mark.parametrize("feature", [True, 1.0, np.float64(1.0)], ids=["bool", "float", "numpy-float"])
@@ -389,3 +434,35 @@ def test_mean_size_walks_each_tree_object_once(monkeypatch):
     assert len(walked) == len({id(t) for t in trees})
     sizes = np.array([tree_size(t) for t in trees], dtype=np.float64)
     assert repeated == ensemble_mean_size(copies) == (float(sizes.mean()), float(sizes.std(ddof=1)))
+
+
+def test_vote_scoring_and_its_envelope_stay_within_their_peak_bytes_per_row():
+    # numpy reports its buffers to tracemalloc, so the traced peak of one call
+    # is the memory it needs on top of its input. The bounds are the peaks of
+    # the scorer that copied every row's label per tree and of the row-wise
+    # envelope reductions (82.49 and 35.09 bytes per row): a full-length
+    # buffer more per tree, per class column or per batch exceeds them.
+    spec = make_benchmark_mixture()
+    chains = run_with_restarts(
+        sample_mixture(spec, 250, 1), McmcConfig(restarts=2, burn_in=300, post_burn_in=200), 5
+    )
+    trees = [s.tree for s in chains.samples]
+    test = sample_mixture(spec, 50_000, 2)
+
+    def peak_bytes_per_row(call):
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return result, peak / test.n
+
+    post, scoring = peak_bytes_per_row(lambda: ensemble_posterior_matrix(trees, test.features, "vote"))
+    _, envelope = peak_bytes_per_row(lambda: envelope_rates(post, test.labels, 0.9))
+    assert scoring <= 82.5
+    assert envelope <= 35.1

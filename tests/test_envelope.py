@@ -1,11 +1,26 @@
 """Outcome classification at a confidence threshold and rate aggregation."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeuq import cross_fold_summary, envelope_rates, p_min
+from treeuq import (
+    Dataset,
+    EnsembleConfig,
+    EnvelopeSummary,
+    cross_fold_summary,
+    ensemble_posterior_matrix,
+    envelope_rates,
+    leaf_posterior_matrix,
+    p_min,
+    parse_tree,
+    train_ensemble,
+)
+from treeuq.envelope import POSTERIOR_SUM_TOLERANCE, _column_argmax
 
 # (rate_correct, rate_uncertain, rate_incorrect) of a one-row test set
 CC = (1.0, 0.0, 0.0)
@@ -245,3 +260,146 @@ def test_rates_sum_to_one_property(weights, label, p0_offset):
 def test_no_prediction_rejected(num_classes):
     with pytest.raises(ValueError, match="need at least one prediction"):
         envelope_rates(np.empty((0, num_classes)), np.empty(0, dtype=np.int64), 0.99)
+
+
+def row_wise_envelope_rates(posteriors, labels, p0: float) -> EnvelopeSummary:
+    """envelope_rates as reductions along each row and means of boolean arrays.
+
+    The reference for the column-at-a-time form: the same checks in the same
+    order, with min / sum / argmax along axis 1.
+    """
+    posteriors = np.asarray(posteriors, dtype=np.float64)
+    given_labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):
+        labels = given_labels.astype(np.int64)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a vector, got shape {labels.shape}")
+    if posteriors.ndim != 2 or posteriors.shape[0] != labels.shape[0]:
+        raise ValueError(f"got posteriors of shape {posteriors.shape} for {labels.shape[0]} labels")
+    if posteriors.shape[0] < 1:
+        raise ValueError("need at least one prediction")
+    with np.errstate(invalid="ignore"):
+        valid = (posteriors.min(axis=1) >= -POSTERIOR_SUM_TOLERANCE) & (
+            np.abs(posteriors.sum(axis=1) - 1.0) <= POSTERIOR_SUM_TOLERANCE
+        )
+    if not valid.all():
+        bad = int(np.argmin(valid))
+        raise ValueError(
+            f"invalid posterior {bad} {posteriors[bad]!r}: entries must be probabilities summing to 1"
+        )
+    num_classes = posteriors.shape[1]
+    if not p_min(num_classes) < p0 <= 1.0:
+        raise ValueError(f"p0 must lie in (1/{num_classes}, 1], got {p0}")
+    fractional = labels != given_labels
+    if fractional.any():
+        bad = int(np.argmax(fractional))
+        raise ValueError(f"label {bad} is {given_labels[bad]}, not a whole number")
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ValueError(f"label {bad} is {labels[bad]}, outside 0..{num_classes - 1}")
+    predicted = np.argmax(posteriors, axis=1)
+    confident = posteriors[np.arange(len(labels)), predicted] >= p0
+    correct = predicted == labels
+    return EnvelopeSummary(
+        rate_correct=float(np.mean(confident & correct)),
+        rate_uncertain=float(np.mean(~confident)),
+        rate_incorrect=float(np.mean(confident & ~correct)),
+        accuracy=float(np.mean(correct)),
+    )
+
+
+def outcome_of(rates, posteriors, labels, p0):
+    """The summary's fields with their types, or the ValueError's message."""
+    try:
+        summary = rates(posteriors, labels, p0)
+    except ValueError as error:
+        return "ValueError", str(error)
+    return [(type(v), v) for v in dataclasses.astuple(summary)]
+
+
+@functools.lru_cache(maxsize=None)
+def vote_rows(num_classes: int) -> np.ndarray:
+    """Rows of a real vote matrix: 7 randomised trees on well-mixed blobs."""
+    rng = np.random.default_rng(num_classes)
+    labels = np.arange(20 * num_classes) % num_classes
+    features = rng.standard_normal((labels.size, 2)) + np.c_[np.cos(labels), np.sin(labels)]
+    data = Dataset(features, labels, num_classes, ("x", "y"))
+    trees = train_ensemble(data, EnsembleConfig(n_trees=7, min_leaf=2, top_k=3), seed=num_classes)
+    return ensemble_posterior_matrix(trees, rng.standard_normal((200, 2)) * 2.0, "vote")
+
+
+@st.composite
+def posterior_sets(draw, min_classes=2):
+    """(posteriors, labels, p0): weighted, one-hot, tied and real vote rows."""
+    num_classes = draw(st.integers(min_classes, 9))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["weights", "one-hot", "tie", "vote"]))
+        row = np.zeros(num_classes)
+        if kind == "weights":
+            weights = st.integers(0, 4) | st.floats(0.0, 1.0)
+            row = np.array(draw(st.lists(weights, min_size=num_classes, max_size=num_classes)), dtype=float)
+            row = row / row.sum() if row.sum() > 0 else np.full(num_classes, 1.0 / num_classes)
+        elif kind == "one-hot":
+            row[draw(st.integers(0, num_classes - 1))] = 1.0
+        elif kind == "tie":
+            top = draw(st.permutations(range(num_classes)))[: draw(st.integers(2, num_classes))]
+            row[top] = 1.0 / len(top)
+        else:
+            votes = vote_rows(num_classes)
+            row = votes[draw(st.integers(0, len(votes) - 1))]
+        rows.append(row)
+    posteriors = np.array(rows)
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=len(rows), max_size=len(rows)))
+    p0 = draw(st.sampled_from(sorted(set(posteriors.ravel()))) | st.floats(1.0 / num_classes, 1.0))
+    return posteriors, labels, p0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=posterior_sets())
+def test_column_scan_matches_the_row_wise_reference(case):
+    assert outcome_of(envelope_rates, *case) == outcome_of(row_wise_envelope_rates, *case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=posterior_sets(min_classes=3), data=st.data())
+def test_bad_rows_rejected_like_the_row_wise_reference(case, data):
+    posteriors, labels, p0 = case
+    n, num_classes = posteriors.shape
+    for row in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        column = data.draw(st.integers(0, num_classes - 1))
+        kind = data.draw(st.sampled_from(["nan", "inf", "-inf", "negative", "off-sum"]))
+        if kind == "negative":  # the excess goes to another entry, so the row still sums to 1
+            amount = data.draw(st.floats(1e-5, 1.0))
+            posteriors[row, (column + 1) % num_classes] += posteriors[row, column] + amount
+            posteriors[row, column] = -amount
+        elif kind == "off-sum":
+            posteriors[row] *= data.draw(st.floats(1.001, 2.0) | st.floats(0.0, 0.999))
+        else:
+            posteriors[row, column] = float(kind)
+    expected = outcome_of(row_wise_envelope_rates, posteriors, labels, p0)
+    assert expected[0] == "ValueError" and "invalid posterior" in expected[1]
+    assert outcome_of(envelope_rates, posteriors, labels, p0) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_classes=st.integers(2, 9),
+    values=st.lists(st.integers(0, 3), min_size=1, max_size=90),
+)
+def test_column_argmax_is_argmax_ties_included(num_classes, values):
+    matrix = np.resize(np.array(values, dtype=float), (len(values), num_classes)) / 3.0
+    predicted, top = _column_argmax(matrix)
+    assert np.array_equal(predicted, np.argmax(matrix, axis=1))
+    assert np.array_equal(top, matrix.max(axis=1))
+
+
+def test_column_argmax_of_tied_leaf_posteriors_is_argmax():
+    # the best tree's test prediction: leaves whose top classes tie go to the lower class
+    tree = parse_tree("0 split 0 0.0\n1 leaf 3 3 1\n2 split 1 0.0\n3 leaf 0 2 2\n4 leaf 5 0 5\n", 3)
+    posterior = leaf_posterior_matrix(tree, np.random.default_rng(2).standard_normal((300, 2)))
+    predicted, top = _column_argmax(posterior)
+    assert np.array_equal(predicted, np.argmax(posterior, axis=1))
+    assert np.array_equal(top, posterior.max(axis=1))
+    assert set(predicted.tolist()) == {0, 1}

@@ -653,6 +653,24 @@ class TestSerialization:
         rows = data.features[:10]
         assert leaf_posterior_matrix(back, rows) == pytest.approx(leaf_posterior_matrix(tree, rows))
 
+    def test_no_reference_cycle_left_by_a_call(self):
+        # a call must free what it built when it returns, not leave it for the
+        # next garbage collection (a recursive closure refers to itself)
+        data = sample_mixture(make_benchmark_mixture(), 200, 3)
+        three = Dataset(np.random.default_rng(4).standard_normal((90, 2)), np.arange(90) % 3, 3, ("a", "b"))
+        trees = (grow_randomized(data, min_leaf=2, seed=1), grow_randomized(three, min_leaf=2, seed=2))
+        gc.disable()
+        try:
+            gc.collect()
+            for tree in trees:
+                text = serialize_tree(tree)
+                assert gc.collect() == 0
+                back = parse_tree(text, tree.root.counts.size)
+                assert gc.collect() == 0
+                assert serialize_tree(back) == text
+        finally:
+            gc.enable()
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_tree("0 blob 1 2\n", num_classes=2)
