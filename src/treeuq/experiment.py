@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ExperimentError("train_count and test_count must be positive")
         if not 0.0 < self.p0 <= 1.0:
             raise ExperimentError(f"p0 must lie in (0, 1], got {self.p0}")
+        if self.seed < 0:
+            raise ExperimentError(f"seed must be >= 0, got {self.seed}")
 
 
 # INI key -> (section, config field, parser). [experiment] keys set fields of

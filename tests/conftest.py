@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from treeuq import EnsembleConfig, ExperimentConfig, McmcConfig, apply_preset, run_experiment
+from treeuq import EnsembleConfig, ExperimentConfig, McmcConfig, run_experiment
+from treeuq.experiment import apply_preset
 
 BENCHMARK_SEEDS = (1, 2, 3)
 

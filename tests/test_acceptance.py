@@ -13,20 +13,10 @@ import pytest
 from click.testing import CliRunner
 from scipy.stats import chisquare
 
-from treeuq import (
-    Dataset,
-    McmcConfig,
-    enumerate_splits,
-    envelope_rates,
-    estimate_bayes_error,
-    make_benchmark_mixture,
-    propose_move,
-    run_chain,
-    sample_prior_tree,
-    top_k_splits,
-    tree_size,
-)
+from treeuq import Dataset, McmcConfig, envelope_rates, estimate_bayes_error, make_benchmark_mixture
 from treeuq.cli import main as cli_main
+from treeuq.mcmc import propose_move, run_chain, sample_prior_tree
+from treeuq.tree import enumerate_splits, top_k_splits, tree_size
 
 from conftest import BENCHMARK_SEEDS
 

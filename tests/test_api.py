@@ -9,6 +9,17 @@ from pathlib import Path
 import treeuq
 
 
+def _package_reexports() -> list[tuple[str, str]]:
+    """(module, name) of every name that ``treeuq/__init__.py`` imports from a submodule."""
+    tree = ast.parse(Path(treeuq.__file__).read_text(encoding="utf-8"))
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
 def test_all_lists_resolve_and_cover_the_package_reexports():
     modules = {
         info.name: importlib.import_module(f"treeuq.{info.name}")
@@ -18,24 +29,45 @@ def test_all_lists_resolve_and_cover_the_package_reexports():
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert missing == [], f"treeuq.{name}.__all__ names undefined {missing}"
 
-    tree = ast.parse(Path(treeuq.__file__).read_text(encoding="utf-8"))
-    reexports = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+    reexports = _package_reexports()
     assert reexports
     for module_name, name in reexports:
         assert name in modules[module_name].__all__, f"{name} is not in treeuq.{module_name}.__all__"
         assert getattr(treeuq, name) is getattr(modules[module_name], name)
 
 
+def test_the_package_reexports_exactly_the_names_its_callers_use():
+    """Run entry points, data helpers, trainers, scorer, envelope, config, result and error types."""
+    reexports = {name for _, name in _package_reexports()}
+    assert reexports == {
+        "Dataset",
+        "DatasetError",
+        "estimate_bayes_error",
+        "make_benchmark_mixture",
+        "sample_mixture",
+        "EnsembleConfig",
+        "ensemble_posterior_matrix",
+        "train_ensemble",
+        "EnvelopeSummary",
+        "envelope_rates",
+        "ExperimentConfig",
+        "ExperimentError",
+        "ExperimentReport",
+        "emit_report",
+        "load_config",
+        "run_experiment",
+        "McmcConfig",
+        "run_with_restarts",
+    }
+    public = {name for name in vars(treeuq) if not name.startswith("_")}
+    submodules = {info.name for info in pkgutil.iter_modules(treeuq.__path__)}
+    assert public - submodules == reexports
+
+
 def test_every_module_binds_the_one_leaf_posterior_matrix():
     """The one-tree scorer is one object, ensemble.py's, wherever it is bound."""
     from treeuq import ensemble, experiment, mcmc
 
-    assert treeuq.leaf_posterior_matrix is ensemble.leaf_posterior_matrix
     assert experiment.leaf_posterior_matrix is ensemble.leaf_posterior_matrix
     assert mcmc.leaf_posterior_matrix is ensemble.leaf_posterior_matrix
     assert ensemble.leaf_posterior_matrix.__module__ == "treeuq.ensemble"

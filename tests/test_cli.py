@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from treeuq import experiment, load_csv, parse_config
+from treeuq import experiment
 from treeuq.cli import main
+from treeuq.data import load_csv
+from treeuq.experiment import parse_config
 
 
 TINY_CONFIG = """\
@@ -94,6 +96,11 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", "--config", str(path)])
         assert result.exit_code == 1
         assert "error:" in result.output
+
+    def test_negative_seed_fails_with_the_key_named(self):
+        result = CliRunner().invoke(main, ["run", "--preset", "desk", "--seed", "-1"])
+        assert result.exit_code == 1
+        assert result.output == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_bad_output_path_fails_before_training(self, monkeypatch, tmp_path, flag):

@@ -9,14 +9,16 @@ from scipy.stats import chisquare
 from treeuq import (
     Dataset,
     DatasetError,
+    estimate_bayes_error,
+    make_benchmark_mixture,
+    sample_mixture,
+)
+from treeuq.data import (
     GaussianMixtureSpec,
     MixtureComponent,
     bayes_posterior,
-    estimate_bayes_error,
     kfold_split,
     load_csv,
-    make_benchmark_mixture,
-    sample_mixture,
     write_csv,
 )
 

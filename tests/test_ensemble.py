@@ -10,28 +10,26 @@ import pytest
 
 from treeuq import (
     Dataset,
-    DecisionTree,
     EnsembleConfig,
     McmcConfig,
-    TreeNode,
-    best_single_tree,
-    ensemble_mean_size,
     ensemble_posterior_matrix,
     envelope_rates,
-    grow_randomized,
-    leaf_posterior_matrix,
     make_benchmark_mixture,
-    parse_tree,
-    propose_move,
-    run_chain,
     run_with_restarts,
     sample_mixture,
-    sample_prior_tree,
-    serialize_tree,
     train_ensemble,
-    tree_size,
 )
 from treeuq import ensemble
+from treeuq.ensemble import best_single_tree, ensemble_mean_size, leaf_posterior_matrix
+from treeuq.mcmc import propose_move, run_chain, sample_prior_tree
+from treeuq.tree import (
+    DecisionTree,
+    TreeNode,
+    grow_randomized,
+    parse_tree,
+    serialize_tree,
+    tree_size,
+)
 
 
 def stump(class_index: int, total: int = 10, num_classes: int = 2) -> DecisionTree:

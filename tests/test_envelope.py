@@ -12,15 +12,13 @@ from treeuq import (
     Dataset,
     EnsembleConfig,
     EnvelopeSummary,
-    cross_fold_summary,
     ensemble_posterior_matrix,
     envelope_rates,
-    leaf_posterior_matrix,
-    p_min,
-    parse_tree,
     train_ensemble,
 )
-from treeuq.envelope import POSTERIOR_SUM_TOLERANCE, _column_argmax
+from treeuq.ensemble import leaf_posterior_matrix
+from treeuq.envelope import POSTERIOR_SUM_TOLERANCE, _column_argmax, cross_fold_summary, p_min
+from treeuq.tree import parse_tree
 
 # (rate_correct, rate_uncertain, rate_incorrect) of a one-row test set
 CC = (1.0, 0.0, 0.0)

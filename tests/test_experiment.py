@@ -15,19 +15,24 @@ from treeuq import (
     ExperimentConfig,
     ExperimentError,
     McmcConfig,
-    apply_preset,
     emit_report,
     make_benchmark_mixture,
-    parse_config,
-    render_config,
-    run_chain,
     run_experiment,
     sample_mixture,
-    write_csv,
 )
 from treeuq import experiment
+from treeuq.data import write_csv
 from treeuq.envelope import EnvelopeSummary
-from treeuq.experiment import PRESETS, BayesianResult, ExperimentReport, RandomizedResult
+from treeuq.experiment import (
+    PRESETS,
+    BayesianResult,
+    ExperimentReport,
+    RandomizedResult,
+    apply_preset,
+    parse_config,
+    render_config,
+)
+from treeuq.mcmc import run_chain
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -115,6 +120,7 @@ class TestConfig:
             (lambda: ExperimentConfig(test_count=-1), "train_count and test_count must be positive"),
             (lambda: ExperimentConfig(p0=0.0), r"p0 must lie in \(0, 1\], got 0.0"),
             (lambda: ExperimentConfig(p0=1.5), r"p0 must lie in \(0, 1\], got 1.5"),
+            (lambda: ExperimentConfig(seed=-1), "seed must be >= 0, got -1"),
             (lambda: parse_config("seed = 3\n"), "bad config: File contains no section headers"),
             (lambda: parse_config("[mcmc]\nburn_in = 1\nburn_in = 2\n"), "bad config: .*'burn_in'"),
         ],
@@ -126,6 +132,7 @@ class TestConfig:
             "test-count",
             "p0-zero",
             "p0-above-one",
+            "negative-seed",
             "no-section-header",
             "duplicate-key",
         ],

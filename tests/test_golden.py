@@ -19,13 +19,12 @@ from treeuq import (
     ExperimentConfig,
     McmcConfig,
     emit_report,
-    grow_randomized,
     make_benchmark_mixture,
-    run_chain,
     run_experiment,
     sample_mixture,
-    serialize_tree,
 )
+from treeuq.mcmc import run_chain
+from treeuq.tree import grow_randomized, serialize_tree
 
 
 def _sha256(text: str) -> str:

@@ -7,27 +7,21 @@ import math
 import numpy as np
 import pytest
 
-from treeuq import (
+from treeuq import Dataset, McmcConfig, run_with_restarts
+from treeuq.ensemble import ensemble_mean_size
+from treeuq.mcmc import (
     ChainSample,
-    Dataset,
-    DecisionTree,
-    McmcConfig,
     PosteriorEnsemble,
-    TreeNode,
     bayes_predictive_matrix,
-    ensemble_mean_size,
+    dirichlet_multinomial_log_marginal,
     log_marginal_likelihood,
     log_prior,
     propose_move,
     refresh_counts,
     run_chain,
-    run_with_restarts,
     sample_prior_tree,
-    serialize_tree,
-    tree_size,
 )
-from treeuq.mcmc import dirichlet_multinomial_log_marginal
-from treeuq.tree import walk
+from treeuq.tree import DecisionTree, TreeNode, serialize_tree, tree_size, walk
 
 
 def continuous_dataset(seed=0, n=30, m=2):

@@ -17,25 +17,26 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeuq import (
-    Dataset,
-    DecisionTree,
-    McmcConfig,
-    ensemble_posterior_matrix,
-    grow_randomized,
+from treeuq import Dataset, McmcConfig, ensemble_posterior_matrix
+from treeuq import mcmc
+from treeuq.mcmc import (
+    dirichlet_multinomial_log_marginal,
     log_marginal_likelihood,
     log_prior,
-    parse_tree,
     propose_move,
     refresh_counts,
     run_chain,
     sample_prior_tree,
+)
+from treeuq.tree import (
+    DecisionTree,
+    TreeNode,
+    grow_randomized,
+    parse_tree,
     serialize_tree,
     tree_size,
+    walk,
 )
-from treeuq import mcmc
-from treeuq.mcmc import dirichlet_multinomial_log_marginal
-from treeuq.tree import TreeNode, walk
 
 ALL_KINDS = (0.25, 0.25, 0.25, 0.25)
 

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from treeuq import Dataset, McmcConfig, run_chain
+from treeuq import Dataset, McmcConfig
+from treeuq.mcmc import run_chain
 
 K_MAX = 3
 ALPHA = 1.0

@@ -9,28 +9,26 @@ import pytest
 
 from treeuq import (
     Dataset,
-    DecisionTree,
     McmcConfig,
-    TreeNode,
     ensemble_posterior_matrix,
-    enumerate_splits,
-    grow_randomized,
-    leaf_posterior_matrix,
-    log_marginal_likelihood,
-    log_prior,
     make_benchmark_mixture,
-    parse_tree,
-    propose_move,
-    refresh_counts,
-    run_chain,
     sample_mixture,
-    serialize_tree,
-    top_k_splits,
-    tree_size,
 )
 from treeuq import ensemble
 from treeuq import tree as tree_module
-from treeuq.tree import walk
+from treeuq.ensemble import leaf_posterior_matrix
+from treeuq.mcmc import log_marginal_likelihood, log_prior, propose_move, refresh_counts, run_chain
+from treeuq.tree import (
+    DecisionTree,
+    TreeNode,
+    enumerate_splits,
+    grow_randomized,
+    parse_tree,
+    serialize_tree,
+    top_k_splits,
+    tree_size,
+    walk,
+)
 
 
 def oracle_entropy(counts) -> float:
