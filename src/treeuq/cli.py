@@ -71,7 +71,7 @@ def run(config_path, preset, seed, fmt, out_path, trace_path, print_config) -> N
 
 @main.command()
 @click.option("--n", "count", type=int, required=True, help="Number of points to draw.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synth(count, seed, out_path) -> None:
     """Sample the five-Gaussian benchmark mixture to a CSV file."""

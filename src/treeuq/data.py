@@ -90,9 +90,9 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> Dataset:
         """Dataset restricted to the given row indices (copies).
 
-        The rows passed every check when this Dataset was built, so only the
-        selection is checked: indices that are not 1-D, or that select no
-        row, raise DatasetError, and an index out of range raises IndexError.
+        Indices that are not 1-D, or that select no row, raise DatasetError,
+        and an index out of range raises IndexError. The result is built by
+        the constructor, like any Dataset.
         """
         indices = np.asarray(indices)
         if indices.ndim != 1:
@@ -100,15 +100,7 @@ class Dataset:
         features = self.features[indices]
         if features.shape[0] < 1:
             raise DatasetError("subset selects no rows")
-        subset = object.__new__(Dataset)
-        # frozen blocks attribute assignment, not the instance dict
-        vars(subset).update(
-            features=features,
-            labels=self.labels[indices],
-            num_classes=self.num_classes,
-            feature_names=self.feature_names,
-        )
-        return subset
+        return Dataset(features, self.labels[indices], self.num_classes, self.feature_names)
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)

@@ -242,6 +242,8 @@ def best_single_tree(trees: Sequence[DecisionTree], validation: Dataset) -> tupl
 
     Ties go to the lowest tree index.
     """
+    if len(trees) < 1:
+        raise ValueError("ensemble is empty")
     accuracies = np.empty(len(trees))
     for i, tree in enumerate(trees):
         predicted = np.argmax(leaf_posterior_matrix(tree, validation.features), axis=1)

@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ExperimentError(f"unknown envelope mode {self.envelope_mode!r}")
         if self.train_count < 1 or self.test_count < 1:
             raise ExperimentError("train_count and test_count must be positive")
+        if self.technique in ("randomized", "both") and self.folds > self.train_count:
+            raise ExperimentError(f"folds = {self.folds} exceeds train_count = {self.train_count}")
         if not 0.0 < self.p0 <= 1.0:
             raise ExperimentError(f"p0 must lie in (0, 1], got {self.p0}")
         if self.seed < 0:

@@ -160,12 +160,14 @@ def enumerate_splits(data: Dataset, min_leaf: int, order: np.ndarray | None = No
     points in either child are dropped; min_leaf below 1 raises ValueError.
     Candidates are ordered by feature index, then threshold.
 
-    ``order`` is an (m, n) array whose row j lists the row positions of data
-    sorted by column j; another shape raises ValueError. ``grow_randomized``
-    passes each node its slice of the one order it keeps per tree, as rows
-    of the node's Dataset. Without it, the columns are sorted here with one
-    stable ``argsort``. Rows with equal values may come in any order: a cut
-    falls only between distinct values, so the result is the same.
+    ``order`` is an (m, k) array, k >= 1, whose row j lists the same k rows
+    of data (the node's rows) sorted by column j; the result is that of
+    ``enumerate_splits(data.subset(order[0]), min_leaf)``. Another shape
+    raises ValueError, and a row out of range IndexError. ``grow_randomized``
+    passes each node its slice of the one order it keeps per tree. Without
+    it, the node is all of data, its columns sorted here with one stable
+    ``argsort``. Rows with equal values may come in any order: a cut falls
+    only between distinct values, so the result is the same.
 
     Every feature is scored in one column-major pass: the gains of all
     candidates come from their cumulative class counts, with each side's
@@ -175,11 +177,13 @@ def enumerate_splits(data: Dataset, min_leaf: int, order: np.ndarray | None = No
     """
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
-    n, m = data.n, data.m
+    m = data.m
     if order is None:
         order = np.argsort(data.features.T, axis=1, kind="stable")
-    elif np.shape(order) != (m, n):
-        raise ValueError(f"order must have shape {(m, n)}, got {np.shape(order)}")
+    order = np.asarray(order)
+    if order.ndim != 2 or order.shape[0] != m or order.shape[1] < 1:
+        raise ValueError(f"order must have shape ({m}, k) with k >= 1, got {order.shape}")
+    n = order.shape[1]  # the node's rows
     sorted_values = data.features.take(order * m + np.arange(m)[:, None])
     # cut i of a column puts its sorted rows 0..i on the left; the cuts from
     # first to stop - 1 leave min_leaf rows on each side
@@ -241,11 +245,12 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     Python int feature and a Python float threshold. Deterministic given
     seed; with top_k=1 this is greedy CART.
 
-    The columns are sorted once per tree, into one (m, n) row order in which
-    every node's rows form one slice of each column's order. A node passes
-    its slice to ``enumerate_splits``, and a split partitions the slice
-    stably in place, so no node sorts again and the tree keeps one order at
-    any depth. Each node's Dataset is ``data.subset`` of its rows.
+    The columns are sorted once per tree, into one (m, n) order of data's
+    rows in which every node's rows form one slice of each column's order.
+    A node reads data through its slice: it counts its classes there,
+    passes the slice to ``enumerate_splits``, and a split partitions the
+    slice stably in place. So no node sorts again or copies its rows, and
+    the tree keeps one order at any depth.
     """
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
@@ -254,23 +259,20 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     rng = np.random.default_rng(seed)
     m = data.m
     order = np.argsort(data.features.T, axis=1, kind="stable")
-    position = np.empty(data.n, dtype=np.intp)  # a node's rows: their row in its Dataset
 
-    def split(node_data: Dataset, lo: int, hi: int) -> tuple[int, float, int] | None:
+    def split(lo: int, hi: int) -> tuple[int, float, int] | None:
         """Draw the split of the node on order[:, lo:hi] and partition its slice.
 
         Returns (feature, threshold, end of the left child's slice), or None
         without a candidate. Its arrays die on return, before the subtrees grow.
         """
         block = order[:, lo:hi]
-        position[block[0]] = np.arange(hi - lo)
-        local = position[block]
-        candidates = enumerate_splits(node_data, min_leaf, local)
+        candidates = enumerate_splits(data, min_leaf, block)
         if candidates.size == 0:
             return None
         best = top_k_splits(candidates, top_k)
         feature, threshold, _ = best[rng.integers(len(best))].item()
-        goes_left = (node_data.features[:, feature] <= threshold)[local]
+        goes_left = data.features[:, feature][block] <= threshold
         rows, goes_left = block.ravel(), goes_left.ravel()
         left, right = rows.compress(goes_left), rows.compress(~goes_left)
         mid = lo + left.size // m
@@ -278,11 +280,10 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
         return feature, threshold, mid
 
     def build(lo: int, hi: int) -> TreeNode:
-        node_data = data.subset(order[0, lo:hi])
-        counts = node_data.class_counts()
-        if np.count_nonzero(counts) <= 1 or node_data.n < 2 * min_leaf:
+        counts = np.bincount(data.labels[order[0, lo:hi]], minlength=data.num_classes)
+        if np.count_nonzero(counts) <= 1 or hi - lo < 2 * min_leaf:
             return TreeNode(counts)
-        chosen = split(node_data, lo, hi)
+        chosen = split(lo, hi)
         if chosen is None:
             return TreeNode(counts)
         feature, threshold, mid = chosen

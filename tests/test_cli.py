@@ -170,6 +170,12 @@ class TestSynthCommand:
         )
         assert result.exit_code == 1
 
+    def test_negative_seed_names_the_option(self, tmp_path):
+        out = tmp_path / "x.csv"
+        result = CliRunner().invoke(main, ["synth", "--n", "5", "--seed", "-1", "--out", str(out)])
+        assert result.exit_code != 0 and "'--seed'" in result.output
+        assert not out.exists()
+
 
 def test_readme_quick_start_commands_exist():
     """Each `treeuq` line of README's Quick start names a command and options that exist.

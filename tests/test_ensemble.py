@@ -417,6 +417,12 @@ def test_mean_size_of_no_trees_rejected(trees):
         ensemble_mean_size(trees)
 
 
+def test_best_tree_of_no_trees_rejected():
+    validation = sample_mixture(make_benchmark_mixture(), 10, 0)
+    with pytest.raises(ValueError, match="ensemble is empty"):
+        best_single_tree([], validation)
+
+
 def test_mean_size_walks_each_tree_object_once(monkeypatch):
     trees = chain_trees(restarts=2, seed=4)
     assert len({id(t) for t in trees}) < len(trees)  # a rejected step keeps its tree

@@ -121,6 +121,7 @@ class TestConfig:
             (lambda: ExperimentConfig(p0=0.0), r"p0 must lie in \(0, 1\], got 0.0"),
             (lambda: ExperimentConfig(p0=1.5), r"p0 must lie in \(0, 1\], got 1.5"),
             (lambda: ExperimentConfig(seed=-1), "seed must be >= 0, got -1"),
+            (lambda: ExperimentConfig(train_count=3, folds=5), "folds = 5 exceeds train_count = 3"),
             (lambda: parse_config("seed = 3\n"), "bad config: File contains no section headers"),
             (lambda: parse_config("[mcmc]\nburn_in = 1\nburn_in = 2\n"), "bad config: .*'burn_in'"),
         ],
@@ -133,6 +134,7 @@ class TestConfig:
             "p0-zero",
             "p0-above-one",
             "negative-seed",
+            "folds-above-train-count",
             "no-section-header",
             "duplicate-key",
         ],

@@ -252,9 +252,15 @@ class TestEnumerateSplits:
         data = Dataset([[float(i), -float(i)] for i in range(6)], [0, 0, 0, 1, 1, 1], 2, ("x", "y"))
         whole = np.argsort(data.features.T, axis=1, kind="stable")
         assert enumerate_splits(data, 1, whole).tobytes() == enumerate_splits(data, 1).tobytes()
-        for order in (whole.T, whole[:1], whole[:, :5]):
-            with pytest.raises(ValueError, match=r"order must have shape \(2, 6\)"):
+        for order in (whole.T, whole[:1], whole[:, :0]):
+            with pytest.raises(ValueError, match=r"order must have shape \(2, k\) with k >= 1"):
                 enumerate_splits(data, 1, order)
+        with pytest.raises(IndexError):
+            enumerate_splits(data, 1, np.full((2, 3), 6))
+        # fewer columns than rows is one node's rows, searched as their subset
+        rows = np.array([4, 0, 5, 2, 3])
+        node = rows[np.argsort(data.features[rows].T, axis=1, kind="stable")]
+        assert enumerate_splits(data, 1, node).tobytes() == enumerate_splits(data.subset(rows), 1).tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_oracle(self, seed):
@@ -553,7 +559,7 @@ class TestGrowRandomized:
         def checked(data, min_leaf, order=None, _original=tree_module.enumerate_splits):
             got = _original(data, min_leaf, order)
             assert order is not None
-            assert got.tobytes() == _original(data, min_leaf).tobytes()
+            assert got.tobytes() == _original(data.subset(order[0]), min_leaf).tobytes()
             searches.append(len(got))
             return got
 
@@ -600,6 +606,20 @@ class TestGrowRandomized:
                 assert calls[0][1]() is None
         finally:
             gc.enable()
+
+    def test_growth_copies_no_rows(self, monkeypatch):
+        # every node reads the one training Dataset through its slice of the
+        # tree's row order; none builds a Dataset of its own rows
+        def must_not_copy(self, indices):
+            raise AssertionError("grow_randomized copied a node's rows")
+
+        rng = np.random.default_rng(33)
+        mixture = sample_mixture(make_benchmark_mixture(), 200, 33)
+        data = Dataset(np.hstack([mixture.features, rng.standard_normal((200, 30))]),
+                       mixture.labels, 2, tuple(f"f{i}" for i in range(32)))
+        monkeypatch.setattr(Dataset, "subset", must_not_copy)
+        for seed in range(3):
+            assert len(walk(grow_randomized(data, min_leaf=2, seed=seed).root)[1]) > 10
 
     def test_top_k_below_one_rejected_at_entry(self):
         # pure data never reaches the split search, two-class data would
