@@ -65,7 +65,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import Dataset
 from .ensemble import ensemble_posterior_matrix
@@ -170,20 +169,23 @@ def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
     """Log marginal likelihood of class-count rows under Dirichlet(alpha) rates.
 
     Each row contributes log[Gamma(C*a)/Gamma(n+C*a) * prod_c Gamma(n_c+a)/Gamma(a)];
-    an all-zero row contributes 0. An alpha that is not finite and > 0 raises
+    an all-zero row contributes exactly 0. The terms are summed left to right
+    with ``math.lgamma``, so values agree with scipy's ``gammaln`` to a few
+    ulps, not bit for bit. An alpha that is not finite and > 0 raises
     ValueError.
     """
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
         raise ValueError(f"need finite alpha > 0, got {alpha}")
     counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-    num_classes = counts.shape[1]
-    totals = counts.sum(axis=1)
-    terms = (
-        gammaln(num_classes * alpha)
-        - gammaln(totals + num_classes * alpha)
-        + (gammaln(counts + alpha) - gammaln(alpha)).sum(axis=1)
-    )
-    return float(terms.sum())
+    concentration = counts.shape[1] * alpha
+    lgamma_concentration = math.lgamma(concentration)
+    lgamma_alpha = math.lgamma(alpha)
+    total = 0.0
+    for row in counts.tolist():
+        total += lgamma_concentration - math.lgamma(sum(row) + concentration)
+        for count in row:
+            total += math.lgamma(count + alpha) - lgamma_alpha
+    return total
 
 
 def refresh_counts(tree: DecisionTree, data: Dataset) -> DecisionTree:
@@ -273,10 +275,12 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
     """Log prior of the tree; -inf outside the support.
 
     Support requires: leaf count <= k_max, no empty leaf, and every internal
-    node's threshold taken from its own split menu.
+    node's threshold taken from its own split menu. An empty leaf needs no
+    scan: the split above it has no rows (menu size -1) or sends them all one
+    way, and neither threshold is on its node's menu.
     """
     leaves, internals, _ = walk(_ensure_cached(tree, data).root)
-    if len(leaves) > k_max or any(leaf.indices.size == 0 for leaf in leaves):
+    if len(leaves) > k_max:
         return -math.inf
     log_rules = 0.0
     for node in internals:

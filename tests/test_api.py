@@ -4,6 +4,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import treeuq
@@ -116,3 +118,14 @@ def test_readme_library_example_runs(capsys):
     randomized, bayesian, bayes_error = capsys.readouterr().out.splitlines()
     assert randomized.startswith("EnvelopeSummary(") and bayesian.startswith("EnvelopeSummary(")
     assert 0.07 < float(bayes_error) < 0.09  # ~0.078, the benchmark's floor
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI run on numpy, click and the standard library."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import treeuq, treeuq.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = str(Path(treeuq.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

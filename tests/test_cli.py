@@ -97,6 +97,11 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "error:" in result.output
 
+    def test_unknown_preset_is_a_usage_error(self):
+        result = CliRunner().invoke(main, ["run", "--preset", "galactic"])
+        assert result.exit_code == 2
+        assert "'galactic' is not one of" in result.output
+
     def test_negative_seed_fails_with_the_key_named(self):
         result = CliRunner().invoke(main, ["run", "--preset", "desk", "--seed", "-1"])
         assert result.exit_code == 1
@@ -173,7 +178,7 @@ class TestSynthCommand:
     def test_negative_seed_names_the_option(self, tmp_path):
         out = tmp_path / "x.csv"
         result = CliRunner().invoke(main, ["synth", "--n", "5", "--seed", "-1", "--out", str(out)])
-        assert result.exit_code != 0 and "'--seed'" in result.output
+        assert result.exit_code == 2 and "'--seed'" in result.output
         assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from treeuq import Dataset, McmcConfig, run_with_restarts
 from treeuq.ensemble import ensemble_mean_size
@@ -43,6 +44,18 @@ def oracle_dm_marginal(count_rows, alpha=1.0):
         total += math.lgamma(c * alpha) - math.lgamma(n + c * alpha)
         total += sum(math.lgamma(x + alpha) - math.lgamma(alpha) for x in row)
     return total
+
+
+def scipy_dm_marginal(count_rows, alpha):
+    """The marginal likelihood as scipy's gammaln evaluated it, whole table at once."""
+    counts = np.atleast_2d(np.asarray(count_rows, dtype=np.float64))
+    num_classes = counts.shape[1]
+    terms = (
+        gammaln(num_classes * alpha)
+        - gammaln(counts.sum(axis=1) + num_classes * alpha)
+        + (gammaln(counts + alpha) - gammaln(alpha)).sum(axis=1)
+    )
+    return float(terms.sum())
 
 
 class TestMarginalLikelihood:
@@ -83,6 +96,22 @@ class TestMarginalLikelihood:
                 assert dirichlet_multinomial_log_marginal(rows, alpha) == pytest.approx(
                     oracle_dm_marginal(rows, alpha), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 8, 12])
+    def test_matches_scipy_gammaln_on_large_tables(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        for _ in range(20):
+            rows = rng.integers(0, 10**4 + 1, size=(rng.integers(1, 51), num_classes))
+            rows[rng.random(rows.shape) < 0.3] = 0  # empty cells and some all-zero rows
+            for alpha in (1e-3, 0.5, 1.0, 2.0, 7.5):
+                assert dirichlet_multinomial_log_marginal(rows, alpha) == pytest.approx(
+                    scipy_dm_marginal(rows, alpha), rel=1e-13, abs=1e-9
+                )
+
+    @pytest.mark.parametrize("num_classes", [3, 12])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 2.0, 7.5])
+    def test_all_zero_rows_give_exactly_zero(self, num_classes, alpha):
+        assert dirichlet_multinomial_log_marginal(np.zeros((4, num_classes), dtype=np.int64), alpha) == 0.0
 
     def test_pure_partitions_maximise_marginal_exhaustively(self):
         # 8 points, 4 of each class: every assignment into two non-empty leaves
@@ -136,6 +165,19 @@ class TestLogPrior:
         tree = DecisionTree(
             TreeNode([0, 0], feature=0, threshold=1e9, left=TreeNode([0, 0]), right=TreeNode([0, 0]))
         )
+        assert log_prior(tree, 10, data) == -math.inf
+        values = np.sort(np.unique(data.features[:, 0]))
+
+        def split(threshold, left=None):
+            return TreeNode([0, 0], 0, float(threshold), left or TreeNode([0, 0]), TreeNode([0, 0]))
+
+        # an empty left child: the threshold lies below every row
+        assert log_prior(DecisionTree(split(values[0] - 1.0)), 10, data) == -math.inf
+        # an empty leaf under an on-menu split: the left child's threshold is
+        # on the root's menu but above every row the left child holds
+        tree = DecisionTree(split(values[5], left=split(values[8])))
+        leaves, _, _ = walk(refresh_counts(tree, data).root)
+        assert [leaf.indices.size for leaf in leaves] == [6, 0, data.n - 6]
         assert log_prior(tree, 10, data) == -math.inf
 
     def test_off_menu_threshold_is_outside_support(self):
