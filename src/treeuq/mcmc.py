@@ -44,22 +44,31 @@ Dataset the node is built on, and for an internal node the terms derived
 from its own fields and that Dataset: ``(data, menu size, log(m * menu
 size))``, with ``None`` for the log term when its threshold is off its
 menu. A leaf keeps ``(data,)`` alone; the likelihood scores all leaf counts
-of a tree in one batch. A tree's nodes are all built on one Dataset, so the
-root's Dataset is the whole tree's. ``_ensure_cached`` is the only place
-that checks it: the public entry points use a tree as it is when its root
-is cached for the Dataset they are given, and otherwise re-route that
-Dataset through a copy first; every tree a chain builds has such a root, so
-a chain never re-routes. A node's structure, counts and ``indices`` never
-change, so a term computed once stays exact, and path copies of an
-unchanged node carry it. The prior of a tree is the cached terms summed in
-preorder with the same float operations a from-scratch evaluation uses, so
-it is bit-identical to it; a move therefore only pays for the nodes it
-creates and for one batch of leaf terms.
+of a tree in one batch, as integer rows, with the one likelihood body that
+``dirichlet_multinomial_log_marginal`` calls on float rows (a whole number
+below 2**53 converts to float exactly, so both give the same bits). A
+tree's nodes are all built on one Dataset, so the root's Dataset is the
+whole tree's. ``_ensure_cached`` is the only place that checks it: the
+public entry points use a tree as it is when its root is cached for the
+Dataset they are given, and otherwise re-route that Dataset through a copy
+first; every tree a chain builds has such a root, so a chain never
+re-routes. A node's structure, counts and ``indices`` never change, so a
+term computed once stays exact, and path copies of an unchanged node carry
+it. The prior of a tree is the cached terms summed in preorder with the
+same float operations a from-scratch evaluation uses, so it is
+bit-identical to it; a move therefore only pays for the nodes it creates
+and for one batch of leaf terms.
+
+The invariant also makes a tree's walk lists a function of its root object,
+so ``_parts`` memoises the walks of the last two roots: a step asks for its
+state, twice for its proposal (prior, likelihood), and the next step for
+whichever of the two it kept, so a chain walks each tree it builds once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,7 +77,7 @@ import numpy as np
 
 from .data import Dataset
 from .ensemble import ensemble_posterior_matrix
-from .tree import DecisionTree, TreeNode, _check_rule, tree_size, walk
+from .tree import DecisionTree, TreeNode, _check_rule, walk
 
 # Not used in this module: the benchmark's tracer (perfbench/tracing.py)
 # wraps this module's binding by name and reports a missing one.
@@ -171,17 +180,28 @@ def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
     Each row contributes log[Gamma(C*a)/Gamma(n+C*a) * prod_c Gamma(n_c+a)/Gamma(a)];
     an all-zero row contributes exactly 0. The terms are summed left to right
     with ``math.lgamma``, so values agree with scipy's ``gammaln`` to a few
-    ulps, not bit for bit. An alpha that is not finite and > 0 raises
-    ValueError.
+    ulps, not bit for bit. Counts must form rows of at least one class
+    column and be finite whole numbers >= 0; other counts, and an alpha
+    that is not finite and > 0, raise ValueError before any term is summed.
     """
+    counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
+    if counts.ndim != 2 or counts.shape[1] == 0:
+        raise ValueError(f"counts must be rows of at least one class column, got shape {counts.shape}")
+    wrong = ~np.isfinite(counts) | (counts < 0) | (counts != np.floor(counts))
+    if wrong.any():
+        raise ValueError(f"counts must be finite whole numbers >= 0, got {counts[wrong][0]:g}")
+    return _log_marginal(counts.tolist(), counts.shape[1], alpha)
+
+
+def _log_marginal(rows, num_classes: int, alpha: float) -> float:
+    """The likelihood body over rows of whole-number counts, int or float alike."""
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
         raise ValueError(f"need finite alpha > 0, got {alpha}")
-    counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-    concentration = counts.shape[1] * alpha
+    concentration = num_classes * alpha
     lgamma_concentration = math.lgamma(concentration)
     lgamma_alpha = math.lgamma(alpha)
     total = 0.0
-    for row in counts.tolist():
+    for row in rows:
         total += lgamma_concentration - math.lgamma(sum(row) + concentration)
         for count in row:
             total += math.lgamma(count + alpha) - lgamma_alpha
@@ -265,10 +285,16 @@ def _rule_cache(data: Dataset, indices: np.ndarray, feature: int, threshold: flo
     return data, menu_size, math.log(data.m * menu_size) if on_menu else None
 
 
+@functools.lru_cache(maxsize=2)
+def _parts(root: TreeNode) -> tuple[list[TreeNode], list[TreeNode], list[TreeNode]]:
+    """walk(root), memoised for the last two roots; the lists are read only."""
+    return walk(root)
+
+
 def log_marginal_likelihood(tree: DecisionTree, data: Dataset, alpha: float = 1.0) -> float:
     """Dirichlet-multinomial log marginal likelihood of the tree's partition."""
-    leaves, _, _ = walk(_ensure_cached(tree, data).root)
-    return dirichlet_multinomial_log_marginal([leaf.counts for leaf in leaves], alpha)
+    leaves, _, _ = _parts(_ensure_cached(tree, data).root)
+    return _log_marginal([leaf.counts.tolist() for leaf in leaves], data.num_classes, alpha)
 
 
 def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
@@ -279,7 +305,7 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
     scan: the split above it has no rows (menu size -1) or sends them all one
     way, and neither threshold is on its node's menu.
     """
-    leaves, internals, _ = walk(_ensure_cached(tree, data).root)
+    leaves, internals, _ = _parts(_ensure_cached(tree, data).root)
     if len(leaves) > k_max:
         return -math.inf
     log_rules = 0.0
@@ -320,8 +346,9 @@ def _rebuild_subtree(
     terms included, and the rebuild returns None at the first rebuilt node
     whose threshold is off its own menu. An on-menu threshold sends rows
     both ways, so a node that a move empties always lies below such a node.
+    Both index arrays are the sampler's intp rows, so equal bytes are equal rows.
     """
-    if keep_unchanged and node.indices.size == indices.size and np.array_equal(node.indices, indices):
+    if keep_unchanged and node.indices.size == indices.size and node.indices.tobytes() == indices.tobytes():
         return node
     counts = np.bincount(data.labels[indices], minlength=data.num_classes)
     if node.is_leaf:
@@ -391,7 +418,7 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
     # the kind's index is the number of cumulative probabilities at or below r
     kind = MOVE_KINDS[bisect.bisect_right(list(itertools.accumulate(move_probs[:3])), rng.random())]
     infeasible = Proposal(kind, None, -math.inf, False)
-    leaves, internals, prunable = walk(tree.root)
+    leaves, internals, prunable = _parts(tree.root)
 
     if kind == "birth":
         target = leaves[rng.integers(len(leaves))]
@@ -512,7 +539,7 @@ def run_chain(
             samples.append(ChainSample(tree=tree, restart_index=restart_index, step_index=step))
             if trace is not None:
                 trace.write(
-                    f"{restart_index} {step} {tree_size(tree)} {log_lik + log_pri:.6f}\n"
+                    f"{restart_index} {step} {len(_parts(tree.root)[0])} {log_lik + log_pri:.6f}\n"
                 )
     return samples
 

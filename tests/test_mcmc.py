@@ -76,6 +76,28 @@ class TestMarginalLikelihood:
         with pytest.raises(ValueError, match="need finite alpha > 0"):
             log_marginal_likelihood(DecisionTree(TreeNode([3, 1])), data, alpha)
 
+    @pytest.mark.parametrize(
+        "counts, problem",
+        [
+            ([[-1, 2]], "finite whole numbers >= 0, got -1$"),
+            ([], r"at least one class column, got shape \(1, 0\)"),
+            (np.zeros((3, 0)), r"at least one class column, got shape \(3, 0\)"),
+            (np.zeros((2, 2, 2)), r"at least one class column, got shape \(2, 2, 2\)"),
+            ([[0.5, 2]], "finite whole numbers >= 0, got 0.5$"),
+            ([[math.nan, 1]], "finite whole numbers >= 0, got nan$"),
+            ([[2, math.inf]], "finite whole numbers >= 0, got inf$"),
+        ],
+    )
+    def test_bad_counts_rejected_before_any_term(self, monkeypatch, counts, problem):
+        # [[-1, 2]] and [] once raised a bare math domain error, [[0.5, 2]]
+        # returned -1.88 and [[nan, 1]] returned nan
+        def no_lgamma(x):
+            raise AssertionError("lgamma called")
+
+        monkeypatch.setattr(math, "lgamma", no_lgamma)
+        with pytest.raises(ValueError, match=problem):
+            dirichlet_multinomial_log_marginal(counts, 1.0)
+
     def test_empty_leaf_contributes_zero(self):
         assert dirichlet_multinomial_log_marginal([[0, 0]], alpha=1.0) == 0.0
         # tree whose right leaf catches nothing scores like the single leaf

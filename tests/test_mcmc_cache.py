@@ -9,11 +9,13 @@ the same generator in the same order, is the reference for every move kind:
 for which moves those are, for every tree that is built and for the draws.
 """
 
+import io
 import math
 import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -421,6 +423,98 @@ def test_concurrent_scoring_at_two_alphas_equals_one_thread():
     finally:
         sys.setswitchinterval(interval)
     assert wrong == []
+
+
+def test_a_chain_walks_each_tree_it_scores_once(monkeypatch):
+    # the prior scores every tree a chain builds; the proposal, prior,
+    # likelihood and trace line of one tree share its single walk
+    walked, scored = [], []  # both keep their roots alive, so no id is reused
+
+    def counting_walk(root):
+        walked.append(root)
+        return walk(root)
+
+    def recording_log_prior(tree, k_max, data):
+        scored.append(tree.root)
+        return log_prior(tree, k_max, data)
+
+    monkeypatch.setattr(mcmc, "walk", counting_walk)
+    monkeypatch.setattr(mcmc, "log_prior", recording_log_prior)
+    data = make_dataset(7, 60, 2, 2, grid=0)
+    config = McmcConfig(restarts=1, burn_in=600, post_burn_in=600, max_leaves=10)
+    run_chain(data, config, seed=9, trace=io.StringIO())
+    distinct = {id(root) for root in scored}
+    assert len(distinct) > 300
+    assert {id(root) for root in walked} <= distinct
+    assert len(walked) <= len(distinct)
+
+
+def chain_text(data, config, seed):
+    return [(s.step_index, serialize_tree(s.tree)) for s in run_chain(data, config, seed=seed)]
+
+
+def test_walk_memo_is_safe_across_threads_and_rerouted_trees():
+    # two chains on their own Dataset share the two-slot memo and evict each
+    # other's entries; a race shows only in some runs, so a pass proves
+    # nothing alone
+    config = McmcConfig(restarts=1, burn_in=300, post_burn_in=300, max_leaves=10)
+    jobs = [(make_dataset(8, 50, 2, 3, grid=0), 12), (make_dataset(9, 40, 3, 2, grid=2), 13)]
+    expected = [chain_text(data, config, seed) for data, seed in jobs]
+    got = [[], []]
+
+    def run(k):
+        data, seed = jobs[k]
+        for _ in range(2):
+            got[k].append(chain_text(data, config, seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[expected[0]] * 2, [expected[1]] * 2]
+
+    # a tree and its copy re-routed through another Dataset are scored in
+    # turn: each by its own leaves, whichever of the two the memo holds
+    a, b = make_dataset(1, 30, 2, 2, grid=0), make_dataset(2, 30, 2, 2, grid=0)
+    tree = next(t for s in range(50) if tree_size(t := sample_prior_tree(a, 6, s)) >= 3)
+    fresh = refresh_counts(tree, b)
+    for _ in range(2):
+        for t, data in ((tree, a), (fresh, b), (tree, b)):
+            counts = np.array([leaf.counts for leaf in walk(refresh_counts(t, data).root)[0]])
+            assert log_marginal_likelihood(t, data, 1.0) == dirichlet_multinomial_log_marginal(counts, 1.0)
+            assert log_prior(t, 6, data) == oracle_log_prior(refresh_counts(t, data), 6, data)
+
+
+def float_row_marginal(counts, alpha):
+    """The likelihood summed over float count rows, term by term in the body's order."""
+    counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
+    concentration = counts.shape[1] * alpha
+    total = 0.0
+    for row in counts.tolist():
+        total += math.lgamma(concentration) - math.lgamma(sum(row) + concentration)
+        for count in row:
+            total += math.lgamma(count + alpha) - math.lgamma(alpha)
+    return total
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 12])
+def test_integer_leaf_rows_score_like_the_float_count_matrix(num_classes):
+    data = make_dataset(num_classes, 80, 2, num_classes, grid=0)
+    config = McmcConfig(restarts=1, burn_in=100, post_burn_in=200, max_leaves=12)
+    trees = list({id(s.tree): s.tree for s in run_chain(data, config, seed=num_classes)}.values())
+    assert max(tree_size(tree) for tree in trees) >= 4
+    for tree in trees:
+        counts = np.array([leaf.counts for leaf in walk(tree.root)[0]], dtype=np.float64)
+        for alpha in (1e-3, 0.5, 1.0, 2.0, 7.5):
+            value = log_marginal_likelihood(tree, data, alpha)
+            assert same_float(value, dirichlet_multinomial_log_marginal(counts, alpha))
+            assert same_float(value, float_row_marginal(counts, alpha))
 
 
 def same_float(a, b):
