@@ -9,7 +9,7 @@ threshold.
 The package exports the run entry points, the benchmark's data helpers, the
 two trainers, the one scorer, the envelope, and the config, result and error
 types; every other name comes from its module (``from treeuq.tree import
-serialize_tree``).
+grow_randomized``).
 """
 
 from .data import Dataset, DatasetError, estimate_bayes_error, make_benchmark_mixture, sample_mixture

@@ -174,6 +174,10 @@ class Proposal:
     feasible: bool
 
 
+# what propose_move returns for a move the tree cannot make, one per kind
+_INFEASIBLE = {kind: Proposal(kind, None, -math.inf, False) for kind in MOVE_KINDS}
+
+
 def dirichlet_multinomial_log_marginal(counts, alpha: float) -> float:
     """Log marginal likelihood of class-count rows under Dirichlet(alpha) rates.
 
@@ -417,14 +421,13 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
     p_birth, p_death, _, _ = move_probs
     # the kind's index is the number of cumulative probabilities at or below r
     kind = MOVE_KINDS[bisect.bisect_right(list(itertools.accumulate(move_probs[:3])), rng.random())]
-    infeasible = Proposal(kind, None, -math.inf, False)
     leaves, internals, prunable = _parts(tree.root)
 
     if kind == "birth":
         target = leaves[rng.integers(len(leaves))]
         replacement, menu_size = _draw_split(target, int(rng.integers(data.m)), data, rng)
         if replacement is None:
-            return infeasible
+            return _INFEASIBLE[kind]
         # the grown node becomes prunable; the leaf's parent stops being so
         parent_was_prunable = any(p.left is target or p.right is target for p in prunable)
         log_ratio = (
@@ -435,11 +438,11 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         )
     elif kind == "death":
         if not prunable:
-            return infeasible
+            return _INFEASIBLE[kind]
         target = prunable[rng.integers(len(prunable))]
         menu_size = target.cache[1]
         if menu_size < 1:
-            return infeasible
+            return _INFEASIBLE[kind]
         replacement = _leaf(target.counts, target.indices, data)
         log_ratio = (
             _log(p_birth)
@@ -449,7 +452,7 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
         )
     else:
         if not internals:
-            return infeasible
+            return _INFEASIBLE[kind]
         target = internals[rng.integers(len(internals))]
         # change_rule keeps the feature and redraws the threshold only
         feature = target.feature
@@ -457,10 +460,10 @@ def propose_move(tree: DecisionTree, data: Dataset, move_probs, seed) -> Proposa
             feature = int(rng.integers(data.m))
             old_menu_size = target.cache[1]
             if old_menu_size < 1:
-                return infeasible
+                return _INFEASIBLE[kind]
         replacement, menu_size = _draw_split(target, feature, data, rng)
         if menu_size == 0:
-            return infeasible
+            return _INFEASIBLE[kind]
         if replacement is None:  # the rebuild left the prior's support
             return Proposal(kind, None, -math.inf, True)
         log_ratio = math.log(menu_size) - math.log(old_menu_size) if kind == "change_variable" else 0.0

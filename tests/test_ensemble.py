@@ -26,10 +26,9 @@ from treeuq.tree import (
     DecisionTree,
     TreeNode,
     grow_randomized,
-    parse_tree,
-    serialize_tree,
     tree_size,
 )
+from treetext import parse_tree, serialize_tree
 
 
 def stump(class_index: int, total: int = 10, num_classes: int = 2) -> DecisionTree:

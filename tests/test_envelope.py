@@ -18,7 +18,7 @@ from treeuq import (
 )
 from treeuq.ensemble import leaf_posterior_matrix
 from treeuq.envelope import POSTERIOR_SUM_TOLERANCE, _column_argmax, cross_fold_summary, p_min
-from treeuq.tree import parse_tree
+from treetext import parse_tree
 
 # (rate_correct, rate_uncertain, rate_incorrect) of a one-row test set
 CC = (1.0, 0.0, 0.0)

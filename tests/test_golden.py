@@ -24,7 +24,8 @@ from treeuq import (
     sample_mixture,
 )
 from treeuq.mcmc import run_chain
-from treeuq.tree import grow_randomized, serialize_tree
+from treeuq.tree import grow_randomized
+from treetext import serialize_tree
 
 
 def _sha256(text: str) -> str:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from treeuq import Dataset, McmcConfig, run_with_restarts
+from treeuq import Dataset, McmcConfig, make_benchmark_mixture, run_with_restarts, sample_mixture
 from treeuq.ensemble import ensemble_mean_size
 from treeuq.mcmc import (
     ChainSample,
@@ -22,7 +22,8 @@ from treeuq.mcmc import (
     run_chain,
     sample_prior_tree,
 )
-from treeuq.tree import DecisionTree, TreeNode, serialize_tree, tree_size, walk
+from treeuq.tree import DecisionTree, TreeNode, tree_size, walk
+from treetext import serialize_tree
 
 
 def continuous_dataset(seed=0, n=30, m=2):
@@ -354,6 +355,16 @@ class TestRunChain:
         assert len(samples) == 30
         assert all(s.tree is samples[0].tree for s in samples)
         assert tree_size(samples[0].tree) == 1
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_a_chain_never_returns_to_a_tree_it_has_left(self, seed):
+        # a rejected step keeps the state object and an accepted one moves to
+        # a new object, so the retained trees are runs of one object each
+        data = sample_mixture(make_benchmark_mixture(), 250, 11)
+        config = McmcConfig(restarts=1, burn_in=200, post_burn_in=2000)
+        trees = [s.tree for s in run_chain(data, config, seed=seed)]
+        runs = sum(1 for _ in itertools.groupby(trees, key=id))
+        assert runs == len({id(tree) for tree in trees}) > 100
 
 
 class TestRunWithRestarts:

@@ -34,11 +34,10 @@ from treeuq.tree import (
     DecisionTree,
     TreeNode,
     grow_randomized,
-    parse_tree,
-    serialize_tree,
     tree_size,
     walk,
 )
+from treetext import parse_tree, serialize_tree
 
 ALL_KINDS = (0.25, 0.25, 0.25, 0.25)
 

@@ -23,12 +23,11 @@ from treeuq.tree import (
     TreeNode,
     enumerate_splits,
     grow_randomized,
-    parse_tree,
-    serialize_tree,
     top_k_splits,
     tree_size,
     walk,
 )
+from treetext import parse_tree, serialize_tree
 
 
 def oracle_entropy(counts) -> float:
