@@ -179,7 +179,7 @@ def load_csv(path, label_column: str) -> Dataset:
 
     Raises:
         DatasetError: on unparsable cells (named by row and column), missing
-            label column, ragged rows, or a single-class file.
+            label column or one named twice, ragged rows, or a single-class file.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -194,6 +194,8 @@ def load_csv(path, label_column: str) -> Dataset:
         label_idx = header.index(label_column)
     except ValueError:
         raise DatasetError(f"{path}: no column named {label_column!r}") from None
+    if header.count(label_column) > 1:
+        raise DatasetError(f"{path}: {header.count(label_column)} columns are named {label_column!r}")
 
     feature_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not feature_names:
@@ -241,7 +243,14 @@ def load_csv(path, label_column: str) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset in the ingestion schema: header row, label column 'class'."""
+    """Write a dataset in the ingestion schema: header row, label column 'class'.
+
+    A feature named 'class' (after the whitespace that load_csv strips)
+    raises DatasetError before the file is created: it would be read back
+    as the label.
+    """
+    if "class" in (name.strip() for name in dataset.feature_names):
+        raise DatasetError(f"{path}: a feature is named 'class', the label column's name")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*dataset.feature_names, "class"])

@@ -11,11 +11,12 @@ function each. A tree routes a row left when ``x[feature] <= threshold``,
 and gives it the class probabilities of the leaf it reaches, smoothed by a
 symmetric Dirichlet count (alpha=1 is Laplace (+1) smoothing, so no class
 ever gets exactly zero probability). One tree alone is scored as an ensemble
-of one. The scorer keeps one row order for all the trees of a call, in which
-every node's rows form one slice. A sampler tree splits like its predecessor
-above its move, so the rows above the move are not re-routed, and in vote
-mode only the re-routed rows are compared and credited: the cost of a tree
-follows the rows its move touched, not the size of the test set.
+of one, by the same sums. The scorer keeps one row order for all the trees
+of a call, in which every node's rows form one slice. A sampler tree splits
+like its predecessor above its move, so the rows above the move are not
+re-routed, and in vote mode only the re-routed rows are compared and
+credited: the cost of a tree follows the rows its move touched, not the
+size of the test set.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .tree import DecisionTree, TreeNode, _check_rule, grow_randomized, tree_siz
 __all__ = [
     "EnsembleConfig",
     "best_single_tree",
-    "default_min_leaf",
     "ensemble_mean_size",
     "ensemble_posterior_matrix",
     "leaf_posterior_matrix",
@@ -65,10 +65,6 @@ class EnsembleConfig:
             raise ValueError(f"need min_leaf >= 1, got {self.min_leaf}")
 
 
-def default_min_leaf(train_size: int) -> int:
-    return MIN_LEAF_LARGE if train_size > LARGE_TRAIN_THRESHOLD else MIN_LEAF_SMALL
-
-
 def train_ensemble(
     train: Dataset, config: EnsembleConfig = EnsembleConfig(), seed=0
 ) -> tuple[DecisionTree, ...]:
@@ -77,7 +73,9 @@ def train_ensemble(
     Per-tree seeds derive from seed as SeedSequence((seed, tree_index)), so
     any tree is reproducible in isolation.
     """
-    min_leaf = config.min_leaf if config.min_leaf is not None else default_min_leaf(train.n)
+    min_leaf = config.min_leaf
+    if min_leaf is None:
+        min_leaf = MIN_LEAF_LARGE if train.n > LARGE_TRAIN_THRESHOLD else MIN_LEAF_SMALL
     return tuple(
         grow_randomized(
             train,
@@ -110,8 +108,7 @@ def ensemble_posterior_matrix(
     randomised trees share no split and route all. Vote mode looks only at
     the re-routed rows (the others keep their leaf, so their label), and a
     row whose label changes credits the weight its old label held: exact
-    integer sums, so both modes equal scoring each tree alone. Average mode
-    writes the first tree's weighted posterior straight into the result.
+    integer sums, so both modes equal scoring each tree alone.
     """
     if len(trees) < 1:
         raise ValueError("ensemble is empty")
@@ -129,25 +126,20 @@ def ensemble_posterior_matrix(
     features = _feature_matrix(features)
     n = features.shape[0]
     order, mids = np.arange(n), {}  # the row order and split points _route keeps
+    out = np.zeros((n, num_classes))
     if mode == "average":
-        out = np.empty((n, num_classes))  # the first tree writes it whole
-        # the previous tree's posterior, per row; a lone tree's is out itself
-        posterior = out if len(distinct) == 1 else np.empty((n, num_classes))
+        posterior = np.empty((n, num_classes))  # the previous tree's posterior, per row
     else:
-        out = np.zeros((n, num_classes))
         credits = out.reshape(-1)  # out[row, c] is credits[row * num_classes + c]
         label = np.zeros(n, dtype=np.intp)  # the previous tree's argmax, per row
     previous, total = None, 0  # vote: the weight of the trees so far
     for tree, weight in distinct.values():
         routed = _route(tree.root, features, order, mids, alpha, previous)
-        first, previous = previous is None, tree.root
+        previous = tree.root
         if mode == "average":
             for rows, leaf in routed:
                 posterior[rows] = leaf
-            if first:  # leaf posteriors are > 0, so this is 0.0 + weight * posterior
-                np.multiply(posterior, weight, out=out)
-            else:
-                out += weight * posterior
+            out += weight * posterior
             continue
         # Only a routed row can change label: the others sit under a subtree
         # shared by reference, in the same leaf. A label held from weight t0
@@ -166,8 +158,7 @@ def ensemble_posterior_matrix(
         total += weight
     if mode == "vote":
         out[np.arange(n), label] += total
-    if len(trees) > 1:  # x / 1 == x
-        out /= len(trees)
+    out /= len(trees)
     return out
 
 

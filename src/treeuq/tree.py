@@ -101,27 +101,17 @@ def _check_rule(feature: int, threshold: float, columns: int) -> None:
 
 
 def _class_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of the class rows of a (classes, K) array, bit for bit ``terms.T.sum(axis=-1)``.
+    """Sum of the class rows of a (classes, K) array, bit for bit that of its transpose.
 
-    numpy sums each row of the transpose pairwise: fewer than 8 terms in
-    sequence from 0.0; up to 128 as eight partial sums, then the rest in
-    sequence; longer runs as two halves split at a multiple of 8. Here each
-    term is a whole class row, so every addition covers all K columns.
+    The result is ``np.ascontiguousarray(terms.T).sum(axis=1)``. numpy adds
+    fewer than 8 terms in sequence from 0.0, so below 8 classes the rows are
+    added that way here, each addition covering all K columns, with no
+    transposed copy. From 8 classes up, numpy sums that copy itself.
     """
-    classes = len(terms)
-    if classes > 128:
-        half = classes // 2 - classes // 2 % 8
-        return _class_sum(terms[:half]) + _class_sum(terms[half:])
-    blocks = classes - classes % 8
+    if len(terms) >= 8:
+        return np.ascontiguousarray(terms.T).sum(axis=1)
     total = 0.0
-    if blocks:
-        partial = terms[:8].copy()
-        for start in range(8, blocks, 8):
-            partial += terms[start : start + 8]
-        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
-            (partial[4] + partial[5]) + (partial[6] + partial[7])
-        )
-    for row in terms[blocks:]:
+    for row in terms:
         total = total + row
     return total
 
@@ -129,11 +119,10 @@ def _class_sum(terms: np.ndarray) -> np.ndarray:
 def _entropy_bits(counts: np.ndarray, totals) -> np.ndarray:
     """Shannon entropy in bits of each column of a (classes, K) count matrix.
 
-    ``totals`` are its column sums. The class rows are added by ``_class_sum``,
-    so each entropy equals that of the count matrix's transpose summed with
-    ``sum(axis=-1)``, bit for bit. An absent class has p = 0 and adds
-    0 * log2(1) = 0. The terms are computed in place, to keep the peak
-    memory of a wide node down.
+    ``totals`` are its column sums. The terms are summed by ``_class_sum``,
+    so each entropy is bit for bit that of the (K, classes) layout summed
+    along its rows. An absent class has p = 0 and adds 0 * log2(1) = 0. The
+    terms are computed in place, to keep the peak memory of a wide node down.
     """
     p = counts / totals
     terms = np.where(counts > 0, p, 1.0)
@@ -170,8 +159,8 @@ def enumerate_splits(data: Dataset, min_leaf: int, order: np.ndarray | None = No
     Every feature is scored in one column-major pass: the gains of all
     candidates come from their cumulative class counts, with each side's
     size read off its cut. The counts are laid out as (classes, candidates),
-    and entropy adds the class rows in numpy's own ``sum(axis=-1)`` order,
-    so every gain is bit for bit that of the (candidates, classes) layout.
+    and entropy sums them as ``_class_sum`` does, so every gain is bit for
+    bit that of the (candidates, classes) layout.
     """
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")

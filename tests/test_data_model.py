@@ -104,6 +104,20 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="row 2"):
             load_csv(path, "y")
 
+    def test_label_column_named_twice_rejected(self, tmp_path):
+        path = _write(tmp_path / "twice.csv", "x,class,class\n1.0,a,b\n2.0,b,a\n")
+        with pytest.raises(DatasetError, match="2 columns are named 'class'"):
+            load_csv(path, "class")
+
+    @pytest.mark.parametrize("name", ["class", " class"])
+    def test_write_csv_rejects_a_feature_named_class_before_creating_the_file(self, tmp_path, name):
+        # load_csv would take the feature, whitespace stripped, for the label
+        data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), 2, ("x", name))
+        path = tmp_path / "clash.csv"
+        with pytest.raises(DatasetError, match="a feature is named 'class'"):
+            write_csv(data, path)
+        assert not path.exists()
+
     def test_round_trip_through_write_csv(self, tmp_path):
         data = sample_mixture(make_benchmark_mixture(), 50, 3)
         path = tmp_path / "rt.csv"

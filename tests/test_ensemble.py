@@ -154,6 +154,8 @@ class TestEnsemblePosterior:
             (chain_trees, test.features),
             ([greedy[0], relabelled, greedy[1], greedy[0]], test.features),
             ([a, b, a], test.features),
+            ([a, a, b], test.features),  # the first tree carries the weight of both occurrences
+            ([a, a], test.features),
             ([s.tree for s in three_chain.samples], three.features),
             (chain_trees, np.empty((0, 2))),
         )
