@@ -34,6 +34,19 @@ class DatasetError(ValueError):
     """Raised when a file cannot be ingested as a classification dataset."""
 
 
+def _is_int(value) -> bool:
+    """True for an int or a numpy integer; a bool, which Python counts as an int, is neither."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _require_ints(owner, names, error=ValueError) -> None:
+    """Raise error naming the first field in names whose value on owner is not _is_int."""
+    for name in names:
+        value = getattr(owner, name)
+        if not _is_int(value):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix with dense integer class labels; equal only to itself.
@@ -70,6 +83,7 @@ class Dataset:
         labels = labels.astype(np.int64, copy=False)
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
+        _require_ints(self, ("num_classes",), DatasetError)
         if self.num_classes < 2:
             raise DatasetError(f"need at least 2 classes, got {self.num_classes}")
         if labels.min() < 0 or labels.max() >= self.num_classes:
@@ -108,6 +122,8 @@ class Dataset:
     @cached_property
     def rank_table(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
         """Sorted distinct values of each column and each row's rank in them.
+
+        The sampler's split menus (``treeuq.mcmc._menu``) are its only reader.
 
         Returns ``(values, ranks, signed_zeros)``: ``values[j]`` is
         ``np.unique(features[:, j])``, ``ranks`` is an (m, n) matrix with

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _require_ints
 from .tree import DecisionTree, TreeNode, _check_rule, grow_randomized, tree_size
 
 __all__ = [
@@ -57,6 +57,9 @@ class EnsembleConfig:
     top_k: int = 20
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("n_trees", "top_k"))
+        if self.min_leaf is not None:
+            _require_ints(self, ("min_leaf",))
         if self.n_trees < 1:
             raise ValueError(f"need n_trees >= 1, got {self.n_trees}")
         if self.top_k < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, kfold_split, load_csv, make_benchmark_mixture, sample_mixture
+from .data import Dataset, _require_ints, kfold_split, load_csv, make_benchmark_mixture, sample_mixture
 from .ensemble import (
     EnsembleConfig,
     best_single_tree,
@@ -79,6 +79,7 @@ class ExperimentConfig:
     mcmc: McmcConfig = field(default_factory=McmcConfig)
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("train_count", "test_count", "folds", "seed"), ExperimentError)
         if self.dataset not in ("synthetic", "csv"):
             raise ExperimentError(f"dataset must be 'synthetic' or 'csv', got {self.dataset!r}")
         if self.dataset == "csv" and not self.csv_path:

@@ -33,10 +33,12 @@ changed node: it stops at the first rebuilt node whose threshold is off its
 new menu (a node the move empties always lies below one), and the proposal
 then carries no tree (``tree is None``). Such a proposal is still feasible
 and is rejected like any proposal outside the support. Births and deaths
-cannot empty a leaf or push a threshold off its menu. Menus come from
-``Dataset.rank_table``: a node's rows mark their ranks in a mask, so no
-menu is sorted, and a drawn threshold is the float np.unique of the node's
-values would give, down to the sign of a zero.
+cannot empty a leaf or push a threshold off its menu. One helper,
+``_menu``, gives a node's menu both to a draw and to the support check: the
+node's rows mark their ranks in a mask over ``Dataset.rank_table``, so no
+menu is sorted, and every threshold is the float np.unique of the node's
+values gives, down to the sign of a zero. A node with no rows has an empty
+menu (size 0).
 
 Cache invariant: a builder sets a node's ``cache`` slot once, when it makes
 the node, and nothing writes to the node afterwards. The slot holds the
@@ -75,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _require_ints
 from .ensemble import ensemble_posterior_matrix
 from .tree import DecisionTree, TreeNode, _check_rule, walk
 
@@ -121,6 +123,7 @@ class McmcConfig:
     dirichlet_alpha: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("restarts", "burn_in", "post_burn_in", "max_leaves", "thinning"))
         if len(self.move_probs) != len(MOVE_KINDS):
             raise ValueError(f"need one move probability per kind {MOVE_KINDS}, got {self.move_probs}")
         if not all(math.isfinite(p) for p in self.move_probs):
@@ -238,36 +241,21 @@ def _leaf(counts, indices: np.ndarray, data: Dataset) -> TreeNode:
     return leaf
 
 
-def _present_ranks(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
-    """Mask over the feature's distinct values: which of them the rows hold."""
-    values, ranks, _ = data.rank_table
+def _menu(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
+    """A node's split menu: its distinct values of feature, ascending, without the maximum.
+
+    A threshold equal to the maximum would route every row left. The rows
+    mark their ranks in a mask over ``Dataset.rank_table``, so nothing is
+    sorted. The table keeps one of -0.0 and 0.0 for a column that holds
+    both, so such a column's menu comes from np.unique of the node's values:
+    every threshold is the float np.unique gives, down to the sign of a zero.
+    """
+    values, ranks, signed_zeros = data.rank_table
+    if signed_zeros[feature]:
+        return np.unique(data.features[indices, feature])[:-1]
     present = np.zeros(values[feature].size, dtype=bool)
     present[ranks[feature][indices]] = True
-    return present
-
-
-def _split_menu(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
-    """Thresholds at a node, as ascending ranks in the feature's distinct values.
-
-    The thresholds are the node's distinct observed values excluding the
-    maximum (a threshold equal to the maximum would route every row left);
-    they come from a rank mask, so nothing is sorted.
-    """
-    return _present_ranks(data, indices, feature).nonzero()[0][:-1]
-
-
-def _menu_value(data: Dataset, indices: np.ndarray, feature: int, menu: np.ndarray, i) -> float:
-    """Threshold i of a node's menu: the float np.unique of the node's values holds.
-
-    The rank table keeps one of -0.0 and 0.0 for a column that holds both,
-    and the node's own values may hold only the other, so a zero drawn from
-    such a column is taken from np.unique.
-    """
-    values, _, signed_zeros = data.rank_table
-    value = values[feature][menu[i]]
-    if value == 0.0 and signed_zeros[feature]:
-        value = np.unique(data.features[indices, feature])[i]
-    return float(value)
+    return values[feature][present][:-1]
 
 
 def _log_catalan(j: int) -> float:
@@ -280,13 +268,10 @@ def _rule_cache(data: Dataset, indices: np.ndarray, feature: int, threshold: flo
 
     The log term is None when the threshold is not on the node's own menu.
     """
-    present = _present_ranks(data, indices, feature)
-    held = present.nonzero()[0]
-    menu_size = held.size - 1
-    values = data.rank_table[0][feature]
-    rank = values.searchsorted(threshold)
-    on_menu = menu_size > 0 and rank < held[-1] and present[rank] and values[rank] == threshold
-    return data, menu_size, math.log(data.m * menu_size) if on_menu else None
+    menu = _menu(data, indices, feature)
+    i = menu.searchsorted(threshold)
+    on_menu = i < menu.size and menu[i] == threshold
+    return data, menu.size, math.log(data.m * menu.size) if on_menu else None
 
 
 @functools.lru_cache(maxsize=2)
@@ -306,7 +291,7 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
 
     Support requires: leaf count <= k_max, no empty leaf, and every internal
     node's threshold taken from its own split menu. An empty leaf needs no
-    scan: the split above it has no rows (menu size -1) or sends them all one
+    scan: the split above it has no rows (menu size 0) or sends them all one
     way, and neither threshold is on its node's menu.
     """
     leaves, internals, _ = _parts(_ensure_cached(tree, data).root)
@@ -392,10 +377,10 @@ def _draw_split(node: TreeNode, feature: int, data: Dataset, rng) -> tuple[TreeN
     change). Returns (new node, menu size); the node is None when the menu
     is empty (size 0) or when a change left the support.
     """
-    menu = _split_menu(data, node.indices, feature)
+    menu = _menu(data, node.indices, feature)
     if menu.size == 0:
         return None, 0
-    threshold = _menu_value(data, node.indices, feature, menu, rng.integers(menu.size))
+    threshold = float(menu[rng.integers(menu.size)])
     cache = (data, menu.size, math.log(data.m * menu.size))
     left, right = (node, node) if node.is_leaf else (node.left, node.right)
     built = _build_split(node.counts, node.indices, feature, threshold, cache, left, right, data, True)

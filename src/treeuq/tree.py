@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _is_int
 
 __all__ = [
     "DecisionTree",
@@ -94,7 +94,7 @@ def _check_rule(feature: int, threshold: float, columns: int) -> None:
     The feature must be an int or a numpy integer; a bool, which Python would
     read as column 0 or 1, is neither.
     """
-    if not (type(feature) is int or isinstance(feature, np.integer)) or not 0 <= feature < columns:
+    if not _is_int(feature) or not 0 <= feature < columns:
         raise ValueError(f"tree splits on feature {feature!r}, but the data has {columns} columns")
     if not -np.inf < threshold < np.inf:  # NaN fails both comparisons
         raise ValueError(f"tree splits on feature {feature} at threshold {threshold}, which is not finite")

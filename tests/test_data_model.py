@@ -431,6 +431,11 @@ def _load(text, label_column="class"):
         ),
         (lambda _: Dataset([[0.0]], [0], 1, ("x",)), DatasetError, "need at least 2 classes, got 1"),
         (
+            lambda _: Dataset([[0.0], [1.0]], [0, 1], 2.0, ("x",)),
+            DatasetError,
+            "num_classes must be an integer, got 2.0",
+        ),
+        (
             lambda _: Dataset([[0.0], [1.0], [2.0]], [0.5, 1.7, 0.0], 2, ("x",)),
             DatasetError,
             "label 0 is 0.5, not a whole number",
@@ -475,6 +480,7 @@ def _load(text, label_column="class"):
     ids=[
         "labels-shape",
         "one-class",
+        "float-num-classes",
         "fractional-label",
         "nan-label",
         "feature-names",

@@ -353,6 +353,20 @@ def grown_with(data, min_leaf: int, n_trees: int) -> list[str]:
     ]
 
 
+@pytest.mark.parametrize(
+    "settings, match",
+    [
+        ({"n_trees": 2.5}, "n_trees must be an integer, got 2.5"),
+        ({"top_k": 2.5}, "top_k must be an integer, got 2.5"),
+        ({"min_leaf": 2.0}, "min_leaf must be an integer, got 2.0"),
+    ],
+    ids=["fractional-n-trees", "fractional-top-k", "float-min-leaf"],
+)
+def test_config_checks_name_the_problem(settings, match):
+    with pytest.raises(ValueError, match=match):
+        EnsembleConfig(**settings)
+
+
 class TestTrainEnsemble:
     def test_small_train_uses_min_leaf_5(self):
         data = sample_mixture(make_benchmark_mixture(), 200, 1)

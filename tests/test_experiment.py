@@ -122,6 +122,10 @@ class TestConfig:
             (lambda: ExperimentConfig(p0=1.5), r"p0 must lie in \(0, 1\], got 1.5"),
             (lambda: ExperimentConfig(seed=-1), "seed must be >= 0, got -1"),
             (lambda: ExperimentConfig(train_count=3, folds=5), "folds = 5 exceeds train_count = 3"),
+            (lambda: ExperimentConfig(train_count=2.5), "train_count must be an integer, got 2.5"),
+            (lambda: ExperimentConfig(test_count=10.0), "test_count must be an integer, got 10.0"),
+            (lambda: ExperimentConfig(folds=2.5), "folds must be an integer, got 2.5"),
+            (lambda: ExperimentConfig(seed=1.5), "seed must be an integer, got 1.5"),
             (lambda: parse_config("seed = 3\n"), "bad config: File contains no section headers"),
             (lambda: parse_config("[mcmc]\nburn_in = 1\nburn_in = 2\n"), "bad config: .*'burn_in'"),
         ],
@@ -135,6 +139,10 @@ class TestConfig:
             "p0-above-one",
             "negative-seed",
             "folds-above-train-count",
+            "fractional-train-count",
+            "float-test-count",
+            "fractional-folds",
+            "fractional-seed",
             "no-section-header",
             "duplicate-key",
         ],

@@ -509,8 +509,24 @@ class TestConfigValidation:
         ({"move_probs": (1.2, -0.2, 0.0, 0.0)}, "move probabilities must be non-negative"),
         ({"max_leaves": 0}, "need max_leaves >= 1, got 0"),
         ({"max_leaves": -3}, "need max_leaves >= 1, got -3"),
+        ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
+        ({"burn_in": 10.0}, "burn_in must be an integer, got 10.0"),
+        ({"post_burn_in": 1.5}, "post_burn_in must be an integer, got 1.5"),
+        ({"max_leaves": 3.5}, "max_leaves must be an integer, got 3.5"),
+        ({"thinning": 1.5}, "thinning must be an integer, got 1.5"),
+        ({"thinning": True}, "thinning must be an integer, got True"),
     ],
-    ids=["negative-move-probability", "max-leaves-0", "max-leaves-negative"],
+    ids=[
+        "negative-move-probability",
+        "max-leaves-0",
+        "max-leaves-negative",
+        "fractional-restarts",
+        "float-burn-in",
+        "fractional-post-burn-in",
+        "fractional-max-leaves",
+        "fractional-thinning",
+        "bool-thinning",
+    ],
 )
 def test_config_checks_name_the_problem(settings, match):
     with pytest.raises(ValueError, match=match):

@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treeuq import Dataset, McmcConfig, ensemble_posterior_matrix
@@ -522,17 +522,20 @@ def same_float(a, b):
 
 
 def check_menus_against_unique(data, rows):
-    """Rank-table menus at a node holding rows equal the np.unique ones."""
+    """Rank-table menus at a node holding rows equal the np.unique ones.
+
+    A node with no rows has an empty menu, so no threshold is on it.
+    """
     for feature in range(data.m):
         values = np.unique(data.features[rows, feature])
-        menu = mcmc._split_menu(data, rows, feature)
-        assert menu.size == values.size - 1
+        menu = mcmc._menu(data, rows, feature)
+        assert menu.size == max(values.size - 1, 0)
         for i in range(menu.size):
-            assert same_float(mcmc._menu_value(data, rows, feature, menu, i), float(values[i]))
+            assert same_float(float(menu[i]), float(values[i]))
         candidates = np.concatenate([data.features[:, feature], [-0.0, 0.0, 0.25, 99.0, -99.0]])
         for threshold in candidates.tolist():
-            _, menu_size, term = mcmc._rule_cache(data, rows, feature, threshold)
-            assert menu_size == menu.size
+            cached_data, menu_size, term = mcmc._rule_cache(data, rows, feature, threshold)
+            assert cached_data is data and menu_size == menu.size
             on_menu = threshold in values[:-1].tolist()
             assert term == (math.log(data.m * menu.size) if on_menu else None)
 
@@ -545,6 +548,7 @@ COLUMN_VALUES = st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.5, 1.0, 2.5])
     rows=st.lists(st.tuples(COLUMN_VALUES, COLUMN_VALUES, st.floats(-3, 3)), min_size=1, max_size=30),
     picks=st.lists(st.booleans(), min_size=30, max_size=30),
 )
+@example(rows=[(-0.0, 0.5, 1.0), (0.0, 0.5, 2.0)], picks=[False] * 30)  # an empty node
 def test_rank_table_menus_equal_unique_menus(rows, picks):
     # two tied columns that may hold both -0.0 and 0.0, and one continuous
     features = np.array(rows, dtype=np.float64)
@@ -557,7 +561,7 @@ def test_rank_table_menus_equal_unique_menus(rows, picks):
         zeros = column[column == 0.0]
         assert signed_zeros[j] == (np.signbit(zeros).any() and not np.signbit(zeros).all())
     subset = np.flatnonzero(picks[: data.n])
-    for node_rows in (np.arange(data.n), subset if subset.size else np.arange(1)):
+    for node_rows in (np.arange(data.n), subset):
         check_menus_against_unique(data, node_rows)
 
 
