@@ -39,12 +39,16 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
+def _require_int(name: str, value, error=ValueError) -> None:
+    """Raise error naming name unless value is _is_int."""
+    if not _is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _require_ints(owner, names, error=ValueError) -> None:
     """Raise error naming the first field in names whose value on owner is not _is_int."""
     for name in names:
-        value = getattr(owner, name)
-        if not _is_int(value):
-            raise error(f"{name} must be an integer, got {value!r}")
+        _require_int(name, getattr(owner, name), error)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +56,8 @@ class Dataset:
     """Feature matrix with dense integer class labels; equal only to itself.
 
     Attributes:
-        features: (n, m) float matrix, no missing values.
+        features: (n, m) float matrix, no missing values, stored as a float64
+            copy with every -0.0 as 0.0 (so write_csv writes such input as 0.0).
         labels: (n,) int array with values in 0..num_classes-1.
         num_classes: number of classes C >= 2.
         feature_names: m column names.
@@ -64,7 +69,7 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=np.float64)
+        features = np.asarray(self.features, dtype=np.float64) + 0.0  # a copy; -0.0 + 0.0 is 0.0
         labels = np.asarray(self.labels)
         if features.ndim != 2 or features.shape[0] < 1:
             raise DatasetError(f"features must be a non-empty 2-D matrix, got shape {features.shape}")
@@ -120,27 +125,22 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     @cached_property
-    def rank_table(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    def rank_table(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         """Sorted distinct values of each column and each row's rank in them.
 
         The sampler's split menus (``treeuq.mcmc._menu``) are its only reader.
 
-        Returns ``(values, ranks, signed_zeros)``: ``values[j]`` is
-        ``np.unique(features[:, j])``, ``ranks`` is an (m, n) matrix with
-        ``values[j][ranks[j, i]] == features[i, j]``, and ``signed_zeros[j]``
-        is True when column j holds both -0.0 and 0.0, of which ``values[j]``
-        keeps only one. Built on first use, so datasets that never reach the
-        sampler never pay for it.
+        Returns ``(values, ranks)``: ``values[j]`` is
+        ``np.unique(features[:, j])`` and ``ranks`` is an (m, n) matrix with
+        ``values[j][ranks[j, i]] == features[i, j]``. Built on first use, so
+        datasets that never reach the sampler never pay for it.
         """
         values = []
         ranks = np.empty((self.m, self.n), dtype=np.intp)
         for j, column in enumerate(self.features.T):
             distinct, ranks[j] = np.unique(column, return_inverse=True)
             values.append(distinct)
-        zeros = self.features == 0.0
-        negative = np.signbit(self.features)
-        signed_zeros = (zeros & negative).any(axis=0) & (zeros & ~negative).any(axis=0)
-        return tuple(values), ranks, signed_zeros
+        return tuple(values), ranks
 
 
 @dataclass(frozen=True)
@@ -294,6 +294,7 @@ def make_benchmark_mixture() -> GaussianMixtureSpec:
 
 def sample_mixture(spec: GaussianMixtureSpec, n: int, seed) -> Dataset:
     """Draw n labelled points from the mixture; deterministic given seed."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -351,9 +352,7 @@ def bayes_posterior(spec: GaussianMixtureSpec, points) -> np.ndarray:
 
 
 def estimate_bayes_error(spec: GaussianMixtureSpec, n: int, seed) -> float:
-    """Monte-Carlo error rate of the Bayes-optimal (argmax posterior) rule."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """Monte-Carlo error rate of the Bayes-optimal (argmax posterior) rule; sample_mixture checks n."""
     data = sample_mixture(spec, n, seed)
     predicted = np.argmax(bayes_posterior(spec, data.features), axis=1)
     return float(np.mean(predicted != data.labels))
@@ -364,6 +363,8 @@ def kfold_split(n: int, k: int, seed) -> np.ndarray:
 
     The folds are a random partition whose sizes differ by at most 1.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if k > n:

@@ -36,9 +36,9 @@ and is rejected like any proposal outside the support. Births and deaths
 cannot empty a leaf or push a threshold off its menu. One helper,
 ``_menu``, gives a node's menu both to a draw and to the support check: the
 node's rows mark their ranks in a mask over ``Dataset.rank_table``, so no
-menu is sorted, and every threshold is the float np.unique of the node's
-values gives, down to the sign of a zero. A node with no rows has an empty
-menu (size 0).
+menu is sorted, and every threshold is one of the node's own values (a
+Dataset holds no -0.0, so a zero threshold is 0.0). A node with no rows has
+an empty menu (size 0).
 
 Cache invariant: a builder sets a node's ``cache`` slot once, when it makes
 the node, and nothing writes to the node afterwards. The slot holds the
@@ -77,7 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _require_ints
+from .data import Dataset, _require_int, _require_ints
 from .ensemble import ensemble_posterior_matrix
 from .tree import DecisionTree, TreeNode, _check_rule, walk
 
@@ -246,13 +246,9 @@ def _menu(data: Dataset, indices: np.ndarray, feature: int) -> np.ndarray:
 
     A threshold equal to the maximum would route every row left. The rows
     mark their ranks in a mask over ``Dataset.rank_table``, so nothing is
-    sorted. The table keeps one of -0.0 and 0.0 for a column that holds
-    both, so such a column's menu comes from np.unique of the node's values:
-    every threshold is the float np.unique gives, down to the sign of a zero.
+    sorted; a Dataset stores -0.0 as 0.0, so the menu holds no -0.0.
     """
-    values, ranks, signed_zeros = data.rank_table
-    if signed_zeros[feature]:
-        return np.unique(data.features[indices, feature])[:-1]
+    values, ranks = data.rank_table
     present = np.zeros(values[feature].size, dtype=bool)
     present[ranks[feature][indices]] = True
     return values[feature][present][:-1]
@@ -294,6 +290,7 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
     scan: the split above it has no rows (menu size 0) or sends them all one
     way, and neither threshold is on its node's menu.
     """
+    _require_int("k_max", k_max)
     leaves, internals, _ = _parts(_ensure_cached(tree, data).root)
     if len(leaves) > k_max:
         return -math.inf
@@ -480,6 +477,7 @@ def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
     Each growth step splits a uniform leaf on a uniform feature and a uniform
     menu threshold; growth stops early if no leaf can be split.
     """
+    _require_int("k_max", k_max)
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
     rng = np.random.default_rng(seed)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _is_int
+from .data import Dataset, _is_int, _require_int
 
 __all__ = [
     "DecisionTree",
@@ -144,8 +144,9 @@ def enumerate_splits(data: Dataset, min_leaf: int, order: np.ndarray | None = No
     One candidate per (feature, midpoint between consecutive distinct sorted
     values); a candidate sends ``x[feature] <= threshold`` left, and its gain
     is the information gain in bits. Candidates leaving fewer than min_leaf
-    points in either child are dropped; min_leaf below 1 raises ValueError.
-    Candidates are ordered by feature index, then threshold.
+    points in either child are dropped, and a min_leaf that is not an
+    integer >= 1 raises ValueError. Candidates are ordered by feature index,
+    then threshold.
 
     ``order`` is an (m, k) array, k >= 1, whose row j lists the same k rows
     of data (the node's rows) sorted by column j; the result is that of
@@ -162,6 +163,7 @@ def enumerate_splits(data: Dataset, min_leaf: int, order: np.ndarray | None = No
     and entropy sums them as ``_class_sum`` does, so every gain is bit for
     bit that of the (candidates, classes) layout.
     """
+    _require_int("min_leaf", min_leaf)
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
     m = data.m
@@ -208,6 +210,7 @@ def top_k_splits(candidates: np.ndarray, k: int) -> np.ndarray:
     the top k, so only those are sorted; keeping every tie at that cut-off
     gives the same result as sorting the whole array.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     gains = candidates["gain"]
@@ -239,6 +242,8 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     slice stably in place. So no node sorts again or copies its rows, and
     the tree keeps one order at any depth.
     """
+    _require_int("min_leaf", min_leaf)
+    _require_int("top_k", top_k)
     if min_leaf < 1:
         raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
     if top_k < 1:

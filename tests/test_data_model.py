@@ -476,6 +476,14 @@ def _load(text, label_column="class"):
             ValueError,
             "need n >= 1, got 0",
         ),
+        (
+            lambda _: estimate_bayes_error(make_benchmark_mixture(), 100.0, 1),
+            ValueError,
+            "n must be an integer, got 100.0",
+        ),
+        (lambda _: sample_mixture(make_benchmark_mixture(), True, 1), ValueError, "n must be an integer, got True"),
+        (lambda _: kfold_split(10.0, 2, 0), ValueError, "n must be an integer, got 10.0"),
+        (lambda _: kfold_split(10, 2.5, 0), ValueError, "k must be an integer, got 2.5"),
     ],
     ids=[
         "labels-shape",
@@ -496,6 +504,10 @@ def _load(text, label_column="class"):
         "csv-empty-label",
         "csv-empty-label-after-blank-line",
         "bayes-error-n-0",
+        "bayes-error-float-n",
+        "mixture-bool-n",
+        "kfold-float-n",
+        "kfold-fractional-k",
     ],
 )
 def test_input_checks_name_the_problem(tmp_path, call, error, match):

@@ -50,8 +50,10 @@ CHAIN_CASES = [
      "e8fc1ce1d06c291e73dc72c14f98acf3fe73d47e34065e5726341fd86ce5d076"),
     (lambda: _mixture(12), 202, 8,
      "62fe970f5cc4d54b448d67962dbde6d15a9909e0993e2d8603ad29489513a132"),
+    # re-pinned when Dataset came to store -0.0 as 0.0: the earlier text with
+    # each " -0.0" threshold written " 0.0" hashes to this pin
     (lambda: _tied_three_class(13), 303, 12,
-     "10b2350fb175e5aeacb9ba3ffb4d95cddb9686a090969f60069bc17d1567c3af"),
+     "9e897dfef1717067e051bd836fcf0468953304cdae13e4f95793d449472c195b"),
 ]
 
 
@@ -138,3 +140,42 @@ DESK_REPORT_SHA256 = "ede9a73750602ab3344db5e07f47f3428f618271367b403b77917e638a
 
 def test_desk_report_golden(desk_report):
     assert _sha256(emit_report(desk_report)) == DESK_REPORT_SHA256
+
+
+def _write_zeros_csv(path) -> None:
+    """Mixture rows rounded to quarters, so column x1 holds both -0 and 0 cells."""
+    data = sample_mixture(make_benchmark_mixture(), 240, np.random.SeedSequence((5, 0)))
+    features = np.round(data.features * 4.0) / 4.0
+    lines = ["x1,x2,class"]
+    lines += [f"{a:g},{b:g},{label}" for (a, b), label in zip(features.tolist(), data.labels.tolist())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+CSV_REPORT_CASES = [
+    # (envelope mode, p0, pinned sha256 of the CSV report on the zeros CSV)
+    ("vote", 0.95, "094e7a9af6ad597238eeede70c631d68ac95fc15784ebf62cb6f59b7468518b0"),
+    ("average", 0.6, "a2bc56bcc7177b785df6f454fdf07c021b171dd20aa0fe58b16f2f76b21e61d8"),
+]
+
+
+def test_csv_report_golden(tmp_path):
+    path = tmp_path / "zeros.csv"
+    _write_zeros_csv(path)
+    cells = [line.split(",")[0] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert "-0" in cells and "0" in cells
+    for mode, p0, pinned in CSV_REPORT_CASES:
+        config = ExperimentConfig(
+            dataset="csv",
+            csv_path=str(path),
+            technique="both",
+            train_count=150,
+            test_count=90,
+            folds=3,
+            p0=p0,
+            envelope_mode=mode,
+            seed=7,
+            randomized=EnsembleConfig(n_trees=6, min_leaf=3),
+            mcmc=McmcConfig(restarts=2, burn_in=250, post_burn_in=250, max_leaves=20),
+        )
+        text = emit_report(run_experiment(config))
+        assert _sha256(text) == pinned, f"{mode} report changed"

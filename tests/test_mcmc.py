@@ -491,6 +491,17 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="k_max >= 1, got"):
                 sample_prior_tree(data, k_max, 0)
 
+    def test_k_max_must_be_an_integer(self):
+        # a float k_max used to give a finite, wrong prior (it adds -log k_max)
+        data = continuous_dataset()
+        tree = sample_prior_tree(data, 6, 0)
+        for k_max in (3.5, 6.0, True):
+            with pytest.raises(ValueError, match=f"k_max must be an integer, got {k_max!r}"):
+                sample_prior_tree(data, k_max, 0)
+            with pytest.raises(ValueError, match=f"k_max must be an integer, got {k_max!r}"):
+                log_prior(tree, k_max, data)
+        assert log_prior(tree, np.int64(6), data) == log_prior(tree, 6, data)
+
     def test_non_finite_or_misshapen_input_rejected(self):
         # a NaN passes the sum and sign checks, and a NaN birth probability
         # would make every draw a change_rule

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from treeuq import Dataset, McmcConfig, ensemble_posterior_matrix
 from treeuq import mcmc
+from treeuq.data import load_csv, write_csv
 from treeuq.mcmc import (
     dirichlet_multinomial_log_marginal,
     log_marginal_likelihood,
@@ -244,7 +245,8 @@ def test_moves_agree_with_a_full_rebuild(
     data_seed, n, m, num_classes, grid, k_max, start_seed, walk_seed, steps
 ):
     # a walk through supported states, both sides drawing from one generator
-    # each; grid 1 and 2 give columns with ties and with both -0.0 and 0.0
+    # each; grid 1 and 2 give columns with ties, whose rounded zeros come in
+    # both signs until the Dataset stores each as 0.0
     data = make_dataset(data_seed, n, m, num_classes, grid)
     tree = sample_prior_tree(data, k_max, start_seed)
     rng, reference_rng = np.random.default_rng(walk_seed), np.random.default_rng(walk_seed)
@@ -553,24 +555,33 @@ def test_rank_table_menus_equal_unique_menus(rows, picks):
     # two tied columns that may hold both -0.0 and 0.0, and one continuous
     features = np.array(rows, dtype=np.float64)
     data = Dataset(features, np.zeros(len(rows), dtype=np.int64), 2, ("a", "b", "c"))
-    values, ranks, signed_zeros = data.rank_table
+    assert not np.signbit(data.features[data.features == 0.0]).any()
+    values, ranks = data.rank_table
     for j in range(data.m):
-        column = features[:, j]
+        column = data.features[:, j]
         assert np.array_equal(values[j], np.unique(column))
         assert np.array_equal(values[j][ranks[j]], column)
-        zeros = column[column == 0.0]
-        assert signed_zeros[j] == (np.signbit(zeros).any() and not np.signbit(zeros).all())
     subset = np.flatnonzero(picks[: data.n])
     for node_rows in (np.arange(data.n), subset):
         check_menus_against_unique(data, node_rows)
 
 
-def test_menu_zero_keeps_the_sign_of_the_node_values():
-    # the column holds both zeros; each node's np.unique keeps the one it
-    # holds, and the rank table can hold only one of them
-    data = Dataset([[-0.0], [0.0], [1.0]], [0, 1, 0], 2, ("x",))
-    for rows in ([0, 2], [1, 2], [0, 1, 2], [1, 0, 2]):
-        check_menus_against_unique(data, np.array(rows))
+def test_every_menu_zero_is_positive(tmp_path):
+    # a Dataset stores -0.0 as 0.0, so a node's menu holds 0.0 whichever
+    # zeros its rows came with; the caller's array keeps its -0.0
+    features = np.array([[-0.0], [0.0], [1.0], [-0.0]])
+    built = Dataset(features, [0, 1, 0, 1], 2, ("x",))
+    assert np.signbit(features[[0, 3], 0]).all() and built.features is not features
+    path = tmp_path / "zeros.csv"
+    path.write_text("x,class\n-0,a\n0,b\n1,a\n-0.0,b\n", encoding="utf-8")
+    for data in (built, built.subset(np.array([3, 0, 2, 1])), load_csv(path, "class")):
+        assert not np.signbit(data.features).any()
+        for rows in ([0, 2], [1, 2], [3, 2], [0, 1, 2, 3], [1, 0, 2]):
+            menu = mcmc._menu(data, np.array(rows), 0)
+            assert menu.tolist() == [0.0] and not np.signbit(menu).any()
+            check_menus_against_unique(data, np.array(rows))
+    write_csv(built, tmp_path / "out.csv")
+    assert "-0" not in (tmp_path / "out.csv").read_text(encoding="utf-8")
 
 
 def test_rank_table_is_built_only_for_the_sampler():

@@ -761,14 +761,30 @@ def test_split_that_reads_no_real_column_is_rejected(feature, threshold, match, 
         use(tree, data)
 
 
+def _two_rows():
+    return Dataset([[0.0], [1.0]], [0, 1], 2, ("a",))
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: grow_randomized(Dataset([[0.0], [1.0]], [0, 1], 2, ("a",)), 0), "min_leaf >= 1, got 0"),
+        (lambda: grow_randomized(_two_rows(), 0), "min_leaf >= 1, got 0"),
         (lambda: parse_tree("0 split 0 0.5\n1 leaf 1 1\n", num_classes=2), "truncated tree text"),
         (lambda: parse_tree("0 leaf 1 1\n1 leaf 2 0\n", num_classes=2), "trailing lines after tree"),
+        (lambda: enumerate_splits(_two_rows(), True), "min_leaf must be an integer, got True"),
+        (lambda: top_k_splits(enumerate_splits(_two_rows(), 1), 2.5), "k must be an integer, got 2.5"),
+        (lambda: grow_randomized(_two_rows(), 2.5), "min_leaf must be an integer, got 2.5"),
+        (lambda: grow_randomized(_two_rows(), 1, 2.5), "top_k must be an integer, got 2.5"),
     ],
-    ids=["grow-min-leaf-0", "parse-truncated", "parse-trailing-lines"],
+    ids=[
+        "grow-min-leaf-0",
+        "parse-truncated",
+        "parse-trailing-lines",
+        "enumerate-bool-min-leaf",
+        "top-k-fractional-k",
+        "grow-fractional-min-leaf",
+        "grow-fractional-top-k",
+    ],
 )
 def test_tree_input_checks_name_the_problem(call, match):
     with pytest.raises(ValueError, match=match):
