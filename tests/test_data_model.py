@@ -1,6 +1,8 @@
 """Datasets, CSV ingestion, mixture benchmark, and fold splitting."""
 
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,12 +58,53 @@ class TestLoadCsv:
             load_csv(path, "y")
 
     def test_earliest_bad_row_is_reported_first(self, tmp_path):
-        path = _write(tmp_path / "order.csv", "a,b,y\n1,2,p\n3,nan,q\n?,4,p\n")
-        with pytest.raises(DatasetError, match=r"row 2, column 'b': non-finite value"):
-            load_csv(path, "y")
-        path = _write(tmp_path / "order2.csv", "a,b,y\n1,2,p\nx,inf,q\n")
-        with pytest.raises(DatasetError, match=r"row 2, column 'a': cannot parse 'x'"):
-            load_csv(path, "y")
+        cases = [
+            # a non-finite cell on row 2 beats an unparsable cell on row 3
+            ("a,b,class\n1,2,p\n3,nan,q\n?,4,p\n", r"row 2, column 'b': non-finite value"),
+            # within a row the first bad cell in column order wins, whatever its kind
+            ("a,b,class\n1,2,p\nx,inf,q\n", r"row 2, column 'a': cannot parse 'x'"),
+            ("a,b,class\n1,2,p\ninf,x,q\n", r"row 2, column 'a': non-finite value"),
+            # a label column between the features shifts no column name
+            ("a,class,b\n1,p,2\n3,q,x\n", r"row 2, column 'b': cannot parse 'x'"),
+            ("a,class,b\n1,p,2\nx,q,inf\n", r"row 2, column 'a': cannot parse 'x'"),
+        ]
+        for text, match in cases:
+            with pytest.raises(DatasetError, match=match):
+                load_csv(_write(tmp_path / "order.csv", text), "class")
+
+    def test_errors_come_in_file_order_after_the_header_checks(self, tmp_path):
+        # a field over the csv module's size limit raises csv.Error when the
+        # reader reaches its row, so an earlier row's problem is named first
+        long_field = "9" * (csv.field_size_limit() + 1)
+        text = f"a,class\n1,p\n?,q\n{long_field},p\n"
+        with pytest.raises(DatasetError, match=r"row 2, column 'a': cannot parse '\?'"):
+            load_csv(_write(tmp_path / "late.csv", text), "class")
+        with pytest.raises(DatasetError, match="no column named 'y'"):
+            load_csv(tmp_path / "late.csv", "y")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(_write(tmp_path / "late.csv", text.replace("?", "2")), "class")
+
+    def test_rows_stream_into_one_buffer(self, tmp_path):
+        # holding every cell as a str before parsing would peak near 12x the matrix
+        rng = np.random.default_rng(8)
+        cells = [[repr(v) for v in row] for row in (rng.standard_normal((3000, 16)) * 1e3).tolist()]
+        lines = [",".join([*(f"f{j}" for j in range(16)), "class"])]
+        lines += [",".join([*row, "ab"[i % 2]]) for i, row in enumerate(cells)]
+        path = _write(tmp_path / "wide.csv", "\n".join(lines) + "\n")
+        already = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            data = load_csv(path, "class")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not already:
+                tracemalloc.stop()
+        assert peak < 3 * data.features.nbytes
+        expected = np.array([[float(cell) for cell in row] for row in cells])
+        assert np.array_equal(data.features.view(np.int64), expected.view(np.int64))
+        assert data.labels.tolist() == [i % 2 for i in range(3000)]
 
     def test_label_column_between_features(self, tmp_path):
         path = _write(tmp_path / "mid.csv", "a,y,b\n1.5,p,-2\n3,q,4e1\n")

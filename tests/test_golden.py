@@ -9,6 +9,10 @@ only for a change that is meant to alter the output, and say why.
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,19 @@ from treeuq.tree import grow_randomized
 from treetext import serialize_tree
 
 
+# NEP 19 freezes only the legacy RandomState stream: Generator streams may
+# change between numpy versions, so the pins hold for the numpy they came from
+PINNED_NUMPY = "2.4.6"
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _assert_pinned(text: str, pinned: str, what: str) -> None:
+    assert _sha256(text) == pinned, (
+        f"{what} changed (pins taken with numpy {PINNED_NUMPY}, running {np.__version__})"
+    )
 
 
 def _tied_three_class(seed: int) -> Dataset:
@@ -66,7 +81,7 @@ def test_run_chain_golden(case):
     text = "".join(
         f"# {s.restart_index} {s.step_index}\n{serialize_tree(s.tree)}" for s in samples
     )
-    assert _sha256(text + trace.getvalue()) == pinned
+    _assert_pinned(text + trace.getvalue(), pinned, f"chain case {case}")
 
 
 def _wide_tied(seed: int, num_classes: int = 3) -> Dataset:
@@ -102,7 +117,7 @@ def test_grow_randomized_golden(case):
     data_seed, num_classes, grow_seed, min_leaf, pinned = GROW_CASES[case]
     data = _wide_tied(data_seed, num_classes)
     tree = grow_randomized(data, min_leaf=min_leaf, top_k=20, seed=grow_seed)
-    assert _sha256(serialize_tree(tree)) == pinned
+    _assert_pinned(serialize_tree(tree), pinned, f"grow case {case}")
 
 
 REPORT_CASES = [
@@ -129,8 +144,7 @@ def test_emit_report_golden():
                 restarts=2, burn_in=250, post_burn_in=250, max_leaves=20, dirichlet_alpha=alpha
             ),
         )
-        text = emit_report(run_experiment(config))
-        assert _sha256(text) == pinned, f"{mode} report changed"
+        _assert_pinned(emit_report(run_experiment(config)), pinned, f"{mode} report")
 
 
 # sha256 of the desk-preset report on the synthetic benchmark (seed 1):
@@ -139,7 +153,7 @@ DESK_REPORT_SHA256 = "ede9a73750602ab3344db5e07f47f3428f618271367b403b77917e638a
 
 
 def test_desk_report_golden(desk_report):
-    assert _sha256(emit_report(desk_report)) == DESK_REPORT_SHA256
+    _assert_pinned(emit_report(desk_report), DESK_REPORT_SHA256, "desk report")
 
 
 def _write_zeros_csv(path) -> None:
@@ -177,5 +191,36 @@ def test_csv_report_golden(tmp_path):
             randomized=EnsembleConfig(n_trees=6, min_leaf=3),
             mcmc=McmcConfig(restarts=2, burn_in=250, post_burn_in=250, max_leaves=20),
         )
-        text = emit_report(run_experiment(config))
-        assert _sha256(text) == pinned, f"{mode} report changed"
+        _assert_pinned(emit_report(run_experiment(config)), pinned, f"{mode} CSV report")
+
+
+# run in a child process whose numpy has the targets in argv[1] switched off
+_BASELINE_CHILD = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+assert not any(__cpu_features__[target] for target in sys.argv[1].split()), sys.argv[1]
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
+def test_goldens_hold_with_numpy_dispatch_at_the_baseline():
+    # the pins must not depend on which SIMD kernels numpy dispatches to, so
+    # they hold on a machine whose CPU has fewer features than this one
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    if not enabled:
+        pytest.skip("numpy dispatches to no target above its baseline here: nothing to disable")
+    cases = ["test_run_chain_golden", "test_grow_randomized_golden",
+             "test_emit_report_golden", "test_csv_report_golden"]
+    child = subprocess.run(
+        [sys.executable, "-c", _BASELINE_CHILD, " ".join(enabled),
+         *(f"{__file__}::{case}" for case in cases)],
+        cwd=Path(__file__).parents[1],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(enabled)},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert child.returncode == 0, f"with {enabled} disabled:\n{child.stdout}{child.stderr}"

@@ -566,17 +566,24 @@ class TestGrowRandomized:
         rng = np.random.default_rng(len(case))
         num_classes = {"3 classes": 3, "5 classes": 5}.get(case, 2)
         data = random_dataset(rng, 150, m=5, num_classes=num_classes, grid=8)
+        datasets = [data]
         if case == "signed zeros":
-            features = data.features.copy()
-            features[:, 1] = rng.choice([-1.0, -0.0, 0.0, 1.0], data.n)
-            zeros = features[:, 1][features[:, 1] == 0.0]
+            # the column given with -0.0 must grow the trees it grows given with +0.0
+            signed = data.features.copy()
+            signed[:, 1] = rng.choice([-1.0, -0.0, 0.0, 1.0], data.n)
+            zeros = signed[:, 1][signed[:, 1] == 0.0]
             assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-            data = Dataset(features, data.labels, num_classes, data.feature_names)
+            unsigned = signed.copy()
+            unsigned[unsigned == 0.0] = 0.0
+            assert not np.signbit(unsigned[unsigned == 0.0]).any()
+            datasets = [Dataset(features, data.labels, num_classes, data.feature_names)
+                        for features in (signed, unsigned)]
         for min_leaf in (1, 4):
             for top_k in (1, 20):
                 for seed in range(3):
-                    expected = serialize_tree(reference_grow(data, min_leaf, top_k, seed))
-                    assert serialize_tree(grow_randomized(data, min_leaf, top_k, seed)) == expected
+                    expected = serialize_tree(reference_grow(datasets[-1], min_leaf, top_k, seed))
+                    for data in datasets:
+                        assert serialize_tree(grow_randomized(data, min_leaf, top_k, seed)) == expected
         assert len(searches) > 100 and sum(searches) > 0
 
     def test_one_argsort_per_tree_freed_on_return(self, monkeypatch):
