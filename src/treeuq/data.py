@@ -39,16 +39,18 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
-def _require_int(name: str, value, error=ValueError) -> None:
-    """Raise error naming name unless value is _is_int."""
+def _require_int(name: str, value, error=ValueError, minimum=None) -> None:
+    """Raise error naming name unless value is _is_int and, given a minimum, >= minimum."""
     if not _is_int(value):
         raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"need {name} >= {minimum}, got {value}")
 
 
-def _require_ints(owner, names, error=ValueError) -> None:
-    """Raise error naming the first field in names whose value on owner is not _is_int."""
+def _require_ints(owner, names, error=ValueError, minimum=None) -> None:
+    """_require_int on each field in names of owner, in order: the first bad one raises."""
     for name in names:
-        _require_int(name, getattr(owner, name), error)
+        _require_int(name, getattr(owner, name), error, minimum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,9 +294,7 @@ def make_benchmark_mixture() -> GaussianMixtureSpec:
 
 def sample_mixture(spec: GaussianMixtureSpec, n: int, seed) -> Dataset:
     """Draw n labelled points from the mixture; deterministic given seed."""
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _require_int("n", n, minimum=1)
     rng = np.random.default_rng(seed)
     weights = np.array([c.weight for c in spec.components])
     means = np.array([c.mean for c in spec.components])
@@ -362,9 +362,7 @@ def kfold_split(n: int, k: int, seed) -> np.ndarray:
     The folds are a random partition whose sizes differ by at most 1.
     """
     _require_int("n", n)
-    _require_int("k", k)
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got {k}")
+    _require_int("k", k, minimum=2)
     if k > n:
         raise ValueError(f"cannot split {n} points into {k} folds")
     rng = np.random.default_rng(seed)

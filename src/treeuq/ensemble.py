@@ -57,15 +57,9 @@ class EnsembleConfig:
     top_k: int = 20
 
     def __post_init__(self) -> None:
-        _require_ints(self, ("n_trees", "top_k"))
+        _require_ints(self, ("n_trees", "top_k"), minimum=1)
         if self.min_leaf is not None:
-            _require_ints(self, ("min_leaf",))
-        if self.n_trees < 1:
-            raise ValueError(f"need n_trees >= 1, got {self.n_trees}")
-        if self.top_k < 1:
-            raise ValueError(f"need top_k >= 1, got {self.top_k}")
-        if self.min_leaf is not None and self.min_leaf < 1:
-            raise ValueError(f"need min_leaf >= 1, got {self.min_leaf}")
+            _require_ints(self, ("min_leaf",), minimum=1)
 
 
 def train_ensemble(

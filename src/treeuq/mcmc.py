@@ -123,7 +123,7 @@ class McmcConfig:
     dirichlet_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_ints(self, ("restarts", "burn_in", "post_burn_in", "max_leaves", "thinning"))
+        _require_ints(self, ("restarts", "burn_in", "post_burn_in", "max_leaves", "thinning"), minimum=1)
         if len(self.move_probs) != len(MOVE_KINDS):
             raise ValueError(f"need one move probability per kind {MOVE_KINDS}, got {self.move_probs}")
         if not all(math.isfinite(p) for p in self.move_probs):
@@ -132,12 +132,6 @@ class McmcConfig:
             raise ValueError(f"move probabilities must sum to 1, got {self.move_probs}")
         if min(self.move_probs) < 0:
             raise ValueError("move probabilities must be non-negative")
-        if self.restarts < 1 or self.burn_in < 1 or self.post_burn_in < 1:
-            raise ValueError("restarts, burn_in and post_burn_in must all be >= 1")
-        if self.max_leaves < 1:
-            raise ValueError(f"need max_leaves >= 1, got {self.max_leaves}")
-        if self.thinning < 1:
-            raise ValueError(f"need thinning >= 1, got {self.thinning}")
         if not 0 < self.dirichlet_alpha < math.inf:  # NaN fails both comparisons
             raise ValueError(f"need finite dirichlet_alpha > 0, got {self.dirichlet_alpha}")
 
@@ -290,7 +284,7 @@ def log_prior(tree: DecisionTree, k_max: int, data: Dataset) -> float:
     scan: the split above it has no rows (menu size 0) or sends them all one
     way, and neither threshold is on its node's menu.
     """
-    _require_int("k_max", k_max)
+    _require_int("k_max", k_max, minimum=1)
     leaves, internals, _ = _parts(_ensure_cached(tree, data).root)
     if len(leaves) > k_max:
         return -math.inf
@@ -477,9 +471,7 @@ def sample_prior_tree(data: Dataset, k_max: int, seed) -> DecisionTree:
     Each growth step splits a uniform leaf on a uniform feature and a uniform
     menu threshold; growth stops early if no leaf can be split.
     """
-    _require_int("k_max", k_max)
-    if k_max < 1:
-        raise ValueError(f"need k_max >= 1, got {k_max}")
+    _require_int("k_max", k_max, minimum=1)
     rng = np.random.default_rng(seed)
     target_leaves = int(rng.integers(1, k_max + 1))
     root = _leaf(data.class_counts(), np.arange(data.n), data)

@@ -163,9 +163,7 @@ def enumerate_splits(data: Dataset, min_leaf: int, order: np.ndarray | None = No
     and entropy sums them as ``_class_sum`` does, so every gain is bit for
     bit that of the (candidates, classes) layout.
     """
-    _require_int("min_leaf", min_leaf)
-    if min_leaf < 1:
-        raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
+    _require_int("min_leaf", min_leaf, minimum=1)
     m = data.m
     if order is None:
         order = np.argsort(data.features.T, axis=1, kind="stable")
@@ -210,9 +208,7 @@ def top_k_splits(candidates: np.ndarray, k: int) -> np.ndarray:
     the top k, so only those are sorted; keeping every tie at that cut-off
     gives the same result as sorting the whole array.
     """
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    _require_int("k", k, minimum=1)
     gains = candidates["gain"]
     finite = np.isfinite(gains)
     if not finite.all():
@@ -242,12 +238,8 @@ def grow_randomized(data: Dataset, min_leaf: int, top_k: int = 20, seed=None) ->
     slice stably in place. So no node sorts again or copies its rows, and
     the tree keeps one order at any depth.
     """
-    _require_int("min_leaf", min_leaf)
-    _require_int("top_k", top_k)
-    if min_leaf < 1:
-        raise ValueError(f"need min_leaf >= 1, got {min_leaf}")
-    if top_k < 1:
-        raise ValueError(f"need top_k >= 1, got {top_k}")
+    _require_int("min_leaf", min_leaf, minimum=1)
+    _require_int("top_k", top_k, minimum=1)
     rng = np.random.default_rng(seed)
     m = data.m
     order = np.argsort(data.features.T, axis=1, kind="stable")

@@ -527,6 +527,7 @@ def _load(text, label_column="class"):
         (lambda _: sample_mixture(make_benchmark_mixture(), True, 1), ValueError, "n must be an integer, got True"),
         (lambda _: kfold_split(10.0, 2, 0), ValueError, "n must be an integer, got 10.0"),
         (lambda _: kfold_split(10, 2.5, 0), ValueError, "k must be an integer, got 2.5"),
+        (lambda _: kfold_split(10, 1, 0), ValueError, "need k >= 2, got 1"),
     ],
     ids=[
         "labels-shape",
@@ -551,6 +552,7 @@ def _load(text, label_column="class"):
         "mixture-bool-n",
         "kfold-float-n",
         "kfold-fractional-k",
+        "kfold-one-fold",
     ],
 )
 def test_input_checks_name_the_problem(tmp_path, call, error, match):

@@ -359,8 +359,21 @@ def grown_with(data, min_leaf: int, n_trees: int) -> list[str]:
         ({"n_trees": 2.5}, "n_trees must be an integer, got 2.5"),
         ({"top_k": 2.5}, "top_k must be an integer, got 2.5"),
         ({"min_leaf": 2.0}, "min_leaf must be an integer, got 2.0"),
+        ({"n_trees": 0}, "need n_trees >= 1, got 0"),
+        ({"top_k": 0}, "need top_k >= 1, got 0"),
+        ({"min_leaf": 0}, "need min_leaf >= 1, got 0"),
+        # a field's bound is checked with its integer check, in field order
+        ({"n_trees": 0, "top_k": 2.5}, "need n_trees >= 1, got 0"),
     ],
-    ids=["fractional-n-trees", "fractional-top-k", "float-min-leaf"],
+    ids=[
+        "fractional-n-trees",
+        "fractional-top-k",
+        "float-min-leaf",
+        "n-trees-0",
+        "top-k-0",
+        "min-leaf-0",
+        "n-trees-0-before-fractional-top-k",
+    ],
 )
 def test_config_checks_name_the_problem(settings, match):
     with pytest.raises(ValueError, match=match):

@@ -487,9 +487,13 @@ class TestConfigValidation:
 
     def test_prior_tree_needs_a_leaf(self):
         data = continuous_dataset()
+        tree = sample_prior_tree(data, 6, 0)
         for k_max in (0, -2):
             with pytest.raises(ValueError, match="k_max >= 1, got"):
                 sample_prior_tree(data, k_max, 0)
+            # log_prior used to return -inf for every tree here
+            with pytest.raises(ValueError, match=f"need k_max >= 1, got {k_max}"):
+                log_prior(tree, k_max, data)
 
     def test_k_max_must_be_an_integer(self):
         # a float k_max used to give a finite, wrong prior (it adds -log k_max)
@@ -520,6 +524,11 @@ class TestConfigValidation:
         ({"move_probs": (1.2, -0.2, 0.0, 0.0)}, "move probabilities must be non-negative"),
         ({"max_leaves": 0}, "need max_leaves >= 1, got 0"),
         ({"max_leaves": -3}, "need max_leaves >= 1, got -3"),
+        ({"restarts": 0}, "need restarts >= 1, got 0"),
+        ({"burn_in": 0}, "need burn_in >= 1, got 0"),
+        ({"post_burn_in": 0}, "need post_burn_in >= 1, got 0"),
+        # a field's bound is checked with its integer check, before move_probs
+        ({"restarts": 0, "move_probs": (1.0,)}, "need restarts >= 1, got 0"),
         ({"restarts": 2.5}, "restarts must be an integer, got 2.5"),
         ({"burn_in": 10.0}, "burn_in must be an integer, got 10.0"),
         ({"post_burn_in": 1.5}, "post_burn_in must be an integer, got 1.5"),
@@ -531,6 +540,10 @@ class TestConfigValidation:
         "negative-move-probability",
         "max-leaves-0",
         "max-leaves-negative",
+        "restarts-0",
+        "burn-in-0",
+        "post-burn-in-0",
+        "restarts-0-before-move-probs",
         "fractional-restarts",
         "float-burn-in",
         "fractional-post-burn-in",
